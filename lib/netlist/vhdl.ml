@@ -331,11 +331,16 @@ let parse src =
 (* Inline sub-netlists into one flat netlist: each parsed instance's
    component is resolved (by [resolve]) to a gate netlist whose ports
    are connected per the port map and whose internal nets are prefixed
-   with the instance label. *)
+   with the instance label. Labels must be unique: two instances under
+   one label would share their internal nets. *)
 let flatten parsed ~resolve =
   let instances = ref [] in
+  let labels = Hashtbl.create 16 in
   List.iter
     (fun pi ->
+      if Hashtbl.mem labels pi.pi_label then
+        fail "duplicate instance label %s in cluster" pi.pi_label;
+      Hashtbl.add labels pi.pi_label ();
       let sub : Netlist.t =
         match resolve pi.pi_component with
         | Some nl -> nl

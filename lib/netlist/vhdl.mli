@@ -59,4 +59,5 @@ val flatten :
 (** Inline each instance's component netlist (looked up by [resolve]),
     connecting ports per the port map and prefixing internal nets with
     the instance label.
-    @raise Vhdl_error on unknown components or unconnected ports. *)
+    @raise Vhdl_error on unknown components, unconnected ports or
+    duplicate instance labels. *)

@@ -5,7 +5,11 @@
    instance whose upsizing buys the most delay for the least area.
    Constraints follow CQL's request_component keywords: comb_delay
    triples (output, max delay, output load), set-up time bound, clock
-   width bound, or a strategy (fastest / cheapest). *)
+   width bound, or a strategy (fastest / cheapest).
+
+   One timing graph is built per call; each candidate resize is timed
+   on it in place and undone, and the sized netlist is read off the
+   graph at the end. *)
 
 open Icdb_netlist
 
@@ -56,113 +60,112 @@ let violation (r : Sta.report) c =
    | None -> ());
   if !v = neg_infinity then 0.0 else !v
 
-(* A figure of merit to minimize for the strategies. *)
-let merit (r : Sta.report) nl = function
-  | Fastest ->
-      r.Sta.clock_width
-      +. List.fold_left (fun acc (_, wd) -> Float.max acc wd) 0.0
-           r.Sta.output_delays
-  | Cheapest | Balanced -> Sta.cell_area nl
+(* The figure Fastest minimizes: clock width plus the worst output
+   delay. *)
+let merit (r : Sta.report) =
+  r.Sta.clock_width
+  +. List.fold_left (fun acc (_, wd) -> Float.max acc wd) 0.0 r.Sta.output_delays
 
-let resize nl inst_name factor =
-  { nl with
-    Netlist.instances =
-      List.map
-        (fun (i : Netlist.instance) ->
-          if i.inst_name = inst_name then
-            { i with size = Float.min max_size (i.size *. factor) }
-          else i)
-        nl.Netlist.instances }
+let all_instances g = List.init (Sta.instance_count g) Fun.id
+
+(* One upsizing step of instance [i], or None at the size ceiling. *)
+let step g i =
+  let s = Sta.size g i in
+  if s >= max_size then None else Some (Float.min max_size (s *. size_step))
+
+(* [f] applied to the graph with instance [i] at size [s]; the old size
+   is put back afterwards. *)
+let with_size g i s f =
+  let old = Sta.size g i in
+  Sta.set_size g i s;
+  let r = f () in
+  Sta.set_size g i old;
+  r
 
 (* Candidate instances: the TILOS move — only gates on the current
    critical path are worth upsizing; trying each of those and keeping
    the best violation-improvement per added area is cheap because the
    path is short compared to the netlist. *)
-let best_upsize nl c current_violation =
-  let base_area = Sta.cell_area nl in
+let best_upsize g c current_violation =
+  let base_area = Sta.area g in
   let try_candidates candidates =
     List.fold_left
-      (fun best (i : Netlist.instance) ->
-        if i.size >= max_size then best
-        else
-          let nl' = resize nl i.inst_name size_step in
-          let r' = Sta.analyze ~port_loads:c.port_loads nl' in
-          let v' = violation r' c in
-          let gain = current_violation -. v' in
-          if gain <= 1e-9 then best
-          else
-            let cost = Float.max 1.0 (Sta.cell_area nl' -. base_area) in
-            let score = gain /. cost in
-            match best with
-            | Some (_, _, best_score) when best_score >= score -> best
-            | _ -> Some (i.inst_name, nl', score))
+      (fun best i ->
+        match step g i with
+        | None -> best
+        | Some s ->
+            let gain, area =
+              with_size g i s (fun () ->
+                  let gain = current_violation -. violation (Sta.evaluate g) c in
+                  (gain, if gain <= 1e-9 then 0.0 else Sta.area g))
+            in
+            if gain <= 1e-9 then best
+            else
+              let cost = Float.max 1.0 (area -. base_area) in
+              let score = gain /. cost in
+              match best with
+              | Some (_, _, best_score) when best_score >= score -> best
+              | _ -> Some (i, s, score))
       None candidates
-  in
-  let on_path = Sta.critical_instances ~port_loads:c.port_loads nl in
-  let path_candidates =
-    List.filter (fun (i : Netlist.instance) -> List.mem i.inst_name on_path)
-      nl.Netlist.instances
   in
   (* the violated constraint may not lie on the globally-worst path
      (e.g. a clock-width bound while an untimed output is slower);
      fall back to the full netlist when the path offers no gain *)
-  match try_candidates path_candidates with
+  match try_candidates (Sta.critical g) with
   | Some r -> Some r
-  | None -> try_candidates nl.Netlist.instances
+  | None -> try_candidates (all_instances g)
+
+(* Upsize gates on the critical path while the merit (delay) keeps
+   dropping measurably. *)
+let rec fastest g iters =
+  if iters < max_iterations then begin
+    let m = merit (Sta.evaluate g) in
+    let candidates =
+      match Sta.critical g with [] -> all_instances g | on_path -> on_path
+    in
+    let candidate =
+      List.fold_left
+        (fun best i ->
+          match step g i with
+          | None -> best
+          | Some s -> (
+              let m' = with_size g i s (fun () -> merit (Sta.evaluate g)) in
+              match best with
+              | Some (_, _, bm) when bm <= m' -> best
+              | _ -> if m' < m -. 1e-6 then Some (i, s, m') else best))
+        None candidates
+    in
+    match candidate with
+    | Some (i, s, _) ->
+        Sta.set_size g i s;
+        fastest g (iters + 1)
+    | None -> ()
+  end
+
+let rec balanced g c iters =
+  let v = violation (Sta.evaluate g) c in
+  if v <= 0.0 || iters >= max_iterations then ()
+  else
+    match best_upsize g c v with
+    | Some (i, s, _) ->
+        Sta.set_size g i s;
+        balanced g c (iters + 1)
+    | None -> ()
 
 (* Meet the constraints by greedy upsizing. Returns the sized netlist
    (best effort: if constraints are unreachable the largest-improvement
-   netlist found is returned along with the final report). *)
+   netlist found is returned). *)
 let size_to_constraints (nl : Netlist.t) (c : constraints) =
   Icdb_obs.Trace.with_span "sizing.size" @@ fun () ->
+  let sized loop =
+    let g = Sta.build ~port_loads:c.port_loads nl in
+    loop g;
+    Sta.netlist g
+  in
   match c.strategy with
   | Cheapest -> nl  (* minimum area: leave everything at size 1 *)
-  | Fastest ->
-      (* upsize gates on the critical path while the merit (delay)
-         keeps dropping measurably *)
-      let rec loop nl iters =
-        if iters >= max_iterations then nl
-        else
-          let r = Sta.analyze ~port_loads:c.port_loads nl in
-          let m = merit r nl Fastest in
-          let on_path = Sta.critical_instances ~port_loads:c.port_loads nl in
-          let candidates =
-            List.filter
-              (fun (i : Netlist.instance) -> List.mem i.inst_name on_path)
-              nl.Netlist.instances
-          in
-          let candidates =
-            if candidates = [] then nl.Netlist.instances else candidates
-          in
-          let candidate =
-            List.fold_left
-              (fun best (i : Netlist.instance) ->
-                if i.size >= max_size then best
-                else
-                  let nl' = resize nl i.inst_name size_step in
-                  let r' = Sta.analyze ~port_loads:c.port_loads nl' in
-                  let m' = merit r' nl' Fastest in
-                  match best with
-                  | Some (_, bm) when bm <= m' -> best
-                  | _ -> if m' < m -. 1e-6 then Some (nl', m') else best)
-              None candidates
-          in
-          match candidate with
-          | Some (nl', _) -> loop nl' (iters + 1)
-          | None -> nl
-      in
-      loop nl 0
-  | Balanced ->
-      let rec loop nl iters =
-        let r = Sta.analyze ~port_loads:c.port_loads nl in
-        let v = violation r c in
-        if v <= 0.0 || iters >= max_iterations then nl
-        else
-          match best_upsize nl c v with
-          | Some (_, nl', _) -> loop nl' (iters + 1)
-          | None -> nl
-      in
-      loop nl 0
+  | Fastest -> sized (fun g -> fastest g 0)
+  | Balanced -> sized (fun g -> balanced g c 0)
 
 let meets_constraints nl c =
   let r = Sta.analyze ~port_loads:c.port_loads nl in

@@ -21,163 +21,58 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Netlist timing view                                                 *)
+(* Timing graph                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type view = {
-  nl : Netlist.t;
-  cells : (string, Celllib.t) Hashtbl.t;        (* instance -> cell *)
-  driver : (string, Netlist.instance) Hashtbl.t;(* net -> driving instance *)
-  readers : (string, (Netlist.instance * string) list) Hashtbl.t;
-  loads : (string, float) Hashtbl.t;            (* net -> unit-transistor load *)
-  port_loads : (string * float) list;
-  dmemo : (string, float) Hashtbl.t;            (* instance -> output delay *)
+(* Memo of one longest-path pass. A net is settled in the current pass
+   when [seen] holds the pass's stamp, and is on the search stack while
+   it holds the stamp negated; bumping the stamp starts a new pass
+   without clearing anything. *)
+type pass = {
+  mutable stamp : int;
+  seen : int array;
+  has : bool array;    (* net -> has an arrival in this pass *)
+  time : float array;  (* net -> that arrival *)
 }
 
-let cell_of view (inst : Netlist.instance) =
-  match Hashtbl.find_opt view.cells inst.inst_name with
-  | Some c -> c
-  | None -> fail "no cell for instance %s" inst.inst_name
-
-let make_view ?(port_loads = []) (nl : Netlist.t) =
-  let cells = Hashtbl.create 64 in
-  List.iter
-    (fun (i : Netlist.instance) ->
-      match Celllib.find i.cell with
-      | Some c -> Hashtbl.replace cells i.inst_name c
-      | None -> fail "unknown cell %s" i.cell)
-    nl.instances;
-  let is_output_pin cell pin = Celllib.is_output_pin cell pin in
-  let driver = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun net drivers ->
-      match drivers with
-      | [ (i, _) ] -> Hashtbl.replace driver net i
-      | (i, _) :: _ ->
-          (* tri-state bus: keep the first driver for timing purposes *)
-          Hashtbl.replace driver net i
-      | [] -> ())
-    (Netlist.drivers nl ~is_output_pin);
-  let readers = Netlist.fanouts nl ~is_output_pin in
-  let loads = Hashtbl.create 64 in
-  let view =
-    { nl; cells; driver; readers; loads; port_loads;
-      dmemo = Hashtbl.create 64 }
-  in
-  List.iter
-    (fun net ->
-      let reader_load =
-        match Hashtbl.find_opt readers net with
-        | None -> 0.0
-        | Some rs ->
-            List.fold_left
-              (fun acc ((i : Netlist.instance), _pin) ->
-                let c = cell_of view i in
-                acc +. Celllib.sized_input_load c i.size)
-              0.0 rs
-      in
-      let external_load =
-        match List.assoc_opt net port_loads with Some l -> l | None -> 0.0
-      in
-      Hashtbl.replace loads net (reader_load +. external_load))
-    (Netlist.nets nl);
-  view
-
-let net_load view net =
-  match Hashtbl.find_opt view.loads net with Some l -> l | None -> 0.0
-
-let net_fanout view net =
-  match Hashtbl.find_opt view.readers net with
-  | Some rs -> List.length rs
-  | None -> if List.mem net view.nl.Netlist.outputs then 1 else 0
-
-(* Delay through [inst] driving its output net. Memoized per view:
-   analyze runs longest_paths once per clock phase plus once per FF
-   and per input, and every run recomputes the same cell delays. The
-   view's nets and sizes are fixed, so the delay is a pure function of
-   the instance. *)
-let instance_delay view (inst : Netlist.instance) =
-  match Hashtbl.find_opt view.dmemo inst.Netlist.inst_name with
-  | Some d -> d
-  | None ->
-      let cell = cell_of view inst in
-      let out_net = Netlist.pin_net_exn inst cell.Celllib.output in
-      let d =
-        Celllib.delay cell ~size:inst.size ~load:(net_load view out_net)
-          ~fanout:(net_fanout view out_net)
-      in
-      Hashtbl.replace view.dmemo inst.Netlist.inst_name d;
-      d
+(* Instances are numbered in netlist order and nets in [Netlist.nets]
+   order. Sizes are the only mutable input: [set_size] refreshes the
+   loads and delays a size feeds, so a resize is re-timed in place. *)
+type graph = {
+  nl : Netlist.t;
+  cells : Celllib.t array;
+  sizes : float array;
+  delays : float array;      (* instance -> delay through its output *)
+  out_net : int array;       (* instance -> net loading its output, or -1 *)
+  fanin : int array array;   (* instance -> nets on its input pins, pin order *)
+  net_name : string array;
+  driver : int array;        (* net -> instance timing it, or -1 *)
+  readers : int array array; (* net -> instance per reading pin, in
+                                [Netlist.fanouts] order *)
+  loaded : int array array;  (* net -> instances whose output it is *)
+  fanout : int array;
+  port_load : float array;   (* net -> external unit-transistor load *)
+  loads : float array;
+  is_input : bool array;
+  inputs : int array;        (* primary inputs, in port order *)
+  outputs : int array;
+  ffs : int array;           (* registers, in netlist order *)
+  ff_q : int array;          (* per register: its Q net and CK net *)
+  ff_ck : int array;
+  endpoints : int array;     (* the outputs, then each register's
+                                connected data pins (D, S, R) *)
+  endpoint_setup : float array;  (* 0 at outputs, else the setup time *)
+  is_launch : bool array;    (* net -> some register's Q *)
+  launch : float array;      (* Q net -> launch time *)
+  mutable launch_fresh : bool;
+  pa : pass;  (* two memos: [evaluate] keeps its input-sourced and *)
+  pb : pass;  (* register-sourced passes open at the same time *)
+}
 
 let is_sequential_cell (c : Celllib.t) =
   match c.Celllib.kind with
   | Celllib.Ff _ -> true
   | Celllib.Comb | Celllib.Latch_cell _ | Celllib.Tri_cell -> false
-
-(* ------------------------------------------------------------------ *)
-(* Longest paths                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Longest arrival time per net given per-net source times. Nets with
-   no source on any path have no arrival (None). FF outputs are never
-   traversed through: they are sources or dead ends. Latches pass
-   through (gated clocks). *)
-let longest_paths view ~(source : string -> float option) =
-  let memo : (string, float option) Hashtbl.t = Hashtbl.create 128 in
-  let on_stack = Hashtbl.create 16 in
-  let rec arrival net =
-    match Hashtbl.find_opt memo net with
-    | Some a -> a
-    | None ->
-        if Hashtbl.mem on_stack net then
-          fail "timing loop through net %s" net;
-        Hashtbl.replace on_stack net ();
-        let a =
-          match source net with
-          | Some t -> Some t
-          | None -> (
-              match Hashtbl.find_opt view.driver net with
-              | None -> None
-              | Some inst ->
-                  let cell = cell_of view inst in
-                  if is_sequential_cell cell then None
-                  else
-                    let input_arrivals =
-                      List.filter_map
-                        (fun (pin, n) ->
-                          if pin = cell.Celllib.output then None else arrival n)
-                        inst.Netlist.conns
-                    in
-                    (match input_arrivals with
-                     | [] ->
-                         (* tie cells: constant from time 0 *)
-                         if cell.Celllib.inputs = [] then Some 0.0 else None
-                     | ts ->
-                         Some
-                           (List.fold_left max neg_infinity ts
-                           +. instance_delay view inst)))
-        in
-        Hashtbl.remove on_stack net;
-        Hashtbl.replace memo net a;
-        a
-  in
-  arrival
-
-(* FF instances with their output net and pins of interest. *)
-let ff_instances view =
-  List.filter_map
-    (fun (i : Netlist.instance) ->
-      let c = cell_of view i in
-      if is_sequential_cell c then Some (i, c) else None)
-    view.nl.Netlist.instances
-
-(* clk->Q delay of a flip-flop under its output load. *)
-let ff_clk_to_q view (inst : Netlist.instance) =
-  instance_delay view inst
-
-(* ------------------------------------------------------------------ *)
-(* The report                                                          *)
-(* ------------------------------------------------------------------ *)
 
 let data_pins (c : Celllib.t) =
   match c.Celllib.kind with
@@ -187,201 +82,388 @@ let data_pins (c : Celllib.t) =
       @ if has_reset then [ "R" ] else []
   | Celllib.Comb | Celllib.Latch_cell _ | Celllib.Tri_cell -> []
 
-let analyze ?(port_loads = []) (nl : Netlist.t) =
-  Icdb_obs.Trace.with_span "sta.analyze" @@ fun () ->
-  let view = make_view ~port_loads nl in
-  let ffs = ff_instances view in
-  (* arrivals from primary inputs at t=0 *)
-  let from_inputs =
-    longest_paths view ~source:(fun n ->
-        if List.mem n nl.Netlist.inputs then Some 0.0 else None)
-  in
-  (* Launch time of each FF output: clock-network arrival at its CK pin
-     plus clk->Q. Rippled clocks (a register clocked by another
-     register's output, as in the ripple counter) converge by
-     iteration: each round propagates one more stage of the chain. *)
-  let ff_out_time = Hashtbl.create 16 in
-  List.iter
-    (fun ((i : Netlist.instance), c) ->
-      let q = Netlist.pin_net_exn i c.Celllib.output in
-      Hashtbl.replace ff_out_time q (ff_clk_to_q view i))
-    ffs;
-  for _round = 1 to List.length ffs do
-    let arrivals =
-      longest_paths view ~source:(fun n ->
-          if List.mem n nl.Netlist.inputs then Some 0.0
-          else Hashtbl.find_opt ff_out_time n)
-    in
-    List.iter
-      (fun ((i : Netlist.instance), c) ->
-        let q = Netlist.pin_net_exn i c.Celllib.output in
-        let ck = Netlist.pin_net_exn i "CK" in
-        let clock_arrival = match arrivals ck with Some t -> t | None -> 0.0 in
-        Hashtbl.replace ff_out_time q (clock_arrival +. ff_clk_to_q view i))
-      ffs
+(* The load on a net: its readers' input loads summed in
+   [Netlist.fanouts] order, then the external port load. *)
+let refresh_load g n =
+  let rs = g.readers.(n) in
+  let l = ref 0.0 in
+  for j = 0 to Array.length rs - 1 do
+    let k = rs.(j) in
+    l := !l +. Celllib.sized_input_load g.cells.(k) g.sizes.(k)
   done;
-  let from_ffs =
-    longest_paths view ~source:(fun n -> Hashtbl.find_opt ff_out_time n)
+  g.loads.(n) <- !l +. g.port_load.(n)
+
+let refresh_delay g k =
+  let n = g.out_net.(k) in
+  if n >= 0 then
+    g.delays.(k) <-
+      Celllib.delay g.cells.(k) ~size:g.sizes.(k) ~load:g.loads.(n)
+        ~fanout:g.fanout.(n)
+
+let new_pass n =
+  { stamp = 0; seen = Array.make n 0; has = Array.make n false;
+    time = Array.make n 0.0 }
+
+let build ?(port_loads = []) (nl : Netlist.t) =
+  let insts = Array.of_list nl.Netlist.instances in
+  let n_inst = Array.length insts in
+  let names = Hashtbl.create n_inst in
+  let cells =
+    Array.map
+      (fun (i : Netlist.instance) ->
+        if Hashtbl.mem names i.inst_name then
+          fail "duplicate instance name %s" i.inst_name;
+        Hashtbl.add names i.inst_name ();
+        match Celllib.find i.cell with
+        | Some c -> c
+        | None -> fail "unknown cell %s" i.cell)
+      insts
   in
+  let index = Hashtbl.create 64 in
+  let net_names = ref [] in
+  let net name =
+    match Hashtbl.find_opt index name with
+    | Some n -> n
+    | None ->
+        let n = Hashtbl.length index in
+        Hashtbl.add index name n;
+        net_names := name :: !net_names;
+        n
+  in
+  let inputs = Array.of_list (List.map net nl.Netlist.inputs) in
+  let outputs = Array.of_list (List.map net nl.Netlist.outputs) in
+  let conns =
+    Array.map
+      (fun (i : Netlist.instance) -> List.map (fun (pin, n) -> (pin, net n)) i.conns)
+      insts
+  in
+  let n_net = Hashtbl.length index in
+  let out_net = Array.make n_inst (-1) in
+  let driver = Array.make n_net (-1) in
+  let readers = Array.make n_net [] in
+  let loaded = Array.make n_net [] in
+  let fanin =
+    Array.mapi
+      (fun k cs ->
+        let out = cells.(k).Celllib.output in
+        List.iter
+          (fun (pin, n) ->
+            if pin = out then begin
+              if out_net.(k) < 0 then begin
+                out_net.(k) <- n;
+                loaded.(n) <- k :: loaded.(n)
+              end;
+              (* tri-state bus: the last driver times the net *)
+              driver.(n) <- k
+            end
+            else readers.(n) <- k :: readers.(n))
+          cs;
+        Array.of_list
+          (List.filter_map (fun (pin, n) -> if pin = out then None else Some n) cs))
+      conns
+  in
+  let is_output = Array.make n_net false in
+  Array.iter (fun n -> is_output.(n) <- true) outputs;
+  let is_input = Array.make n_net false in
+  Array.iter (fun n -> is_input.(n) <- true) inputs;
+  let port_load = Array.make n_net 0.0 in
+  (* the first load named for a net wins *)
+  List.iter
+    (fun (name, l) ->
+      match Hashtbl.find_opt index name with
+      | Some n -> port_load.(n) <- l
+      | None -> ())
+    (List.rev port_loads);
+  let ffs =
+    Array.of_list
+      (List.filter (fun k -> is_sequential_cell cells.(k)) (List.init n_inst Fun.id))
+  in
+  let pin k p =
+    match List.assoc_opt p conns.(k) with
+    | Some n -> n
+    | None -> fail "register %s has no %s connection" insts.(k).inst_name p
+  in
+  let ff_q = Array.map (fun k -> pin k cells.(k).Celllib.output) ffs in
+  let ff_ck = Array.map (fun k -> pin k "CK") ffs in
+  let data =
+    List.concat_map
+      (fun k ->
+        List.filter_map
+          (fun p ->
+            Option.map (fun n -> (n, cells.(k).Celllib.setup)) (List.assoc_opt p conns.(k)))
+          (data_pins cells.(k)))
+      (Array.to_list ffs)
+  in
+  let endpoints = Array.append outputs (Array.of_list (List.map fst data)) in
+  let endpoint_setup =
+    Array.append (Array.map (fun _ -> 0.0) outputs) (Array.of_list (List.map snd data))
+  in
+  let is_launch = Array.make n_net false in
+  Array.iter (fun q -> is_launch.(q) <- true) ff_q;
+  let g =
+    { nl; cells;
+      sizes = Array.map (fun (i : Netlist.instance) -> i.size) insts;
+      delays = Array.make n_inst 0.0;
+      out_net; fanin;
+      net_name = Array.of_list (List.rev !net_names);
+      driver;
+      readers = Array.map Array.of_list readers;
+      loaded = Array.map Array.of_list loaded;
+      fanout =
+        Array.mapi
+          (fun n rs ->
+            match rs with
+            | [] -> if is_output.(n) then 1 else 0
+            | _ -> List.length rs)
+          readers;
+      port_load;
+      loads = Array.make n_net 0.0;
+      is_input; inputs; outputs; ffs; ff_q; ff_ck; endpoints; endpoint_setup;
+      is_launch;
+      launch = Array.make n_net 0.0;
+      launch_fresh = false;
+      pa = new_pass n_net;
+      pb = new_pass n_net }
+  in
+  for n = 0 to n_net - 1 do refresh_load g n done;
+  for k = 0 to n_inst - 1 do refresh_delay g k done;
+  g
+
+let instance_count g = Array.length g.sizes
+let size g k = g.sizes.(k)
+
+(* A size feeds the instance's own delay and the loads of the nets it
+   reads, and so the delays of the instances driving those nets. Each
+   is recomputed from the sizes, never adjusted by a difference, so
+   restoring a size restores every figure bit for bit. *)
+let set_size g k s =
+  g.sizes.(k) <- s;
+  g.launch_fresh <- false;
+  Array.iter
+    (fun n ->
+      refresh_load g n;
+      Array.iter (refresh_delay g) g.loaded.(n))
+    g.fanin.(k);
+  refresh_delay g k
+
+(* Area of one sized cell, in µm² (its width times the fixed strip
+   height). Totals are summed in instance order. *)
+let sized_area c size = Celllib.sized_width c size *. Celllib.cell_height
+
+let area g =
+  let a = ref 0.0 in
+  for k = 0 to Array.length g.sizes - 1 do
+    a := !a +. sized_area g.cells.(k) g.sizes.(k)
+  done;
+  !a
+
+let netlist g =
+  { g.nl with
+    Netlist.instances =
+      List.mapi
+        (fun k (i : Netlist.instance) ->
+          if g.sizes.(k) = i.size then i else { i with size = g.sizes.(k) })
+        g.nl.Netlist.instances }
+
+(* ------------------------------------------------------------------ *)
+(* Longest paths                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Where a pass starts its paths: at the primary inputs (time 0), at
+   the registers' Q nets (their launch times), both (inputs first), or
+   at one net. *)
+type source = Inputs | Launch | Inputs_and_launch | Only of int
+
+let is_source g src n =
+  match src with
+  | Inputs -> g.is_input.(n)
+  | Launch -> g.is_launch.(n)
+  | Inputs_and_launch -> g.is_input.(n) || g.is_launch.(n)
+  | Only m -> n = m
+
+let source_time g src n =
+  match src with
+  | Inputs | Only _ -> 0.0
+  | Launch -> g.launch.(n)
+  | Inputs_and_launch -> if g.is_input.(n) then 0.0 else g.launch.(n)
+
+let start p = p.stamp <- p.stamp + 1
+
+(* Settle the longest arrival at net [n] in pass [p], lazily and
+   memoized: a source has its own time; a net driven by a register, or
+   by nothing, has none; otherwise the worst arrival over the driver's
+   inputs plus its delay. Register outputs are never traversed through;
+   latches pass through (gated clocks). The source is read when a net
+   is first settled, which the ripple rounds of [launch_times] rely
+   on. *)
+let rec settle g p src n =
+  let s = p.seen.(n) in
+  if s <> p.stamp then begin
+    if s = - p.stamp then fail "timing loop through net %s" g.net_name.(n);
+    p.seen.(n) <- - p.stamp;
+    let d = g.driver.(n) in
+    if is_source g src n then begin
+      p.has.(n) <- true;
+      p.time.(n) <- source_time g src n
+    end
+    else if d < 0 || is_sequential_cell g.cells.(d) then p.has.(n) <- false
+    else begin
+      let fi = g.fanin.(d) in
+      let any = ref false and worst = ref neg_infinity in
+      for j = 0 to Array.length fi - 1 do
+        let m = fi.(j) in
+        settle g p src m;
+        if p.has.(m) then begin
+          any := true;
+          if not (!worst >= p.time.(m)) then worst := p.time.(m)
+        end
+      done;
+      if !any then begin
+        p.has.(n) <- true;
+        p.time.(n) <- !worst +. g.delays.(d)
+      end
+      else begin
+        (* tie cells: constant from time 0 *)
+        p.has.(n) <- g.cells.(d).Celllib.inputs = [];
+        p.time.(n) <- 0.0
+      end
+    end;
+    p.seen.(n) <- p.stamp
+  end
+
+(* Launch time of each register output: clock-network arrival at its CK
+   pin plus clk->Q. Rippled clocks (a register clocked by another
+   register's output, as in the ripple counter) converge by iteration:
+   each round propagates one more stage of the chain. A round reads the
+   launch times it is updating, so its queries keep this order. *)
+let launch_times g =
+  Array.iteri (fun j k -> g.launch.(g.ff_q.(j)) <- g.delays.(k)) g.ffs;
+  let p = g.pb in
+  for _round = 1 to Array.length g.ffs do
+    start p;
+    Array.iteri
+      (fun j k ->
+        let ck = g.ff_ck.(j) in
+        settle g p Inputs_and_launch ck;
+        let clock_arrival = if p.has.(ck) then p.time.(ck) else 0.0 in
+        g.launch.(g.ff_q.(j)) <- clock_arrival +. g.delays.(k))
+      g.ffs
+  done;
+  g.launch_fresh <- true
+
+(* Worst [arrival + setup] over the registers' data pins, or 0. *)
+let worst_setup g p src =
+  let acc = ref 0.0 in
+  for e = Array.length g.outputs to Array.length g.endpoints - 1 do
+    let n = g.endpoints.(e) in
+    settle g p src n;
+    if p.has.(n) then acc := Float.max !acc (p.time.(n) +. g.endpoint_setup.(e))
+  done;
+  !acc
+
+(* ------------------------------------------------------------------ *)
+(* The report                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let evaluate g =
+  let from_inputs = g.pa and from_ffs = g.pb in
+  launch_times g;
+  start from_inputs;
+  start from_ffs;
   (* WD per output: worst arrival from a register (clock edge), falling
      back to input-sourced paths for purely combinational outputs. *)
+  let has_ffs = g.ffs <> [||] in
   let output_delays =
-    List.map
-      (fun o ->
+    List.mapi
+      (fun j o ->
+        let n = g.outputs.(j) in
+        settle g from_ffs Launch n;
+        settle g from_inputs Inputs n;
         let wd =
-          match from_ffs o, from_inputs o with
-          | Some a, _ when ffs <> [] -> a
-          | _, Some b -> b
-          | Some a, None -> a
-          | None, None -> 0.0
+          if from_ffs.has.(n) && has_ffs then from_ffs.time.(n)
+          else if from_inputs.has.(n) then from_inputs.time.(n)
+          else if from_ffs.has.(n) then from_ffs.time.(n)
+          else 0.0
         in
         (o, wd))
-      nl.Netlist.outputs
+      g.nl.Netlist.outputs
   in
   (* SD per input: worst path from the input to any register data-ish
-     pin, plus that register's setup. *)
+     pin, plus that register's setup. Each input takes its own pass. *)
   let setup_times =
-    List.map
-      (fun inp ->
-        let from_this =
-          longest_paths view ~source:(fun n ->
-              if n = inp then Some 0.0 else None)
-        in
-        let sd =
-          List.fold_left
-            (fun acc ((i : Netlist.instance), c) ->
-              List.fold_left
-                (fun acc pin ->
-                  match Netlist.pin_net i pin with
-                  | None -> acc
-                  | Some n -> (
-                      match from_this n with
-                      | Some t -> Float.max acc (t +. c.Celllib.setup)
-                      | None -> acc))
-                acc (data_pins c))
-            0.0 ffs
-        in
-        (inp, sd))
-      nl.Netlist.inputs
+    List.mapi
+      (fun j inp ->
+        start from_inputs;
+        (inp, worst_setup g from_inputs (Only g.inputs.(j))))
+      g.nl.Netlist.inputs
   in
   (* CW: worst register-to-register path + setup, but at least the
      worst input-to-register setup (external data must also make it in
      one phase) and the widest clk->Q. *)
-  let reg_to_reg =
-    List.fold_left
-      (fun acc ((i : Netlist.instance), c) ->
-        List.fold_left
-          (fun acc pin ->
-            match Netlist.pin_net i pin with
-            | None -> acc
-            | Some n -> (
-                match from_ffs n with
-                | Some t -> Float.max acc (t +. c.Celllib.setup)
-                | None -> acc))
-          acc (data_pins c))
-      0.0 ffs
-  in
+  let reg_to_reg = worst_setup g from_ffs Launch in
   let worst_clk_to_q =
-    List.fold_left
-      (fun acc (i, _) -> Float.max acc (ff_clk_to_q view i))
-      0.0 ffs
+    Array.fold_left (fun acc k -> Float.max acc g.delays.(k)) 0.0 g.ffs
   in
   let worst_sd = List.fold_left (fun acc (_, t) -> Float.max acc t) 0.0 setup_times in
   let clock_width = Float.max reg_to_reg (Float.max worst_clk_to_q worst_sd) in
   { clock_width; output_delays; setup_times }
 
+let analyze ?port_loads nl =
+  Icdb_obs.Trace.with_span "sta.analyze" @@ fun () ->
+  evaluate (build ?port_loads nl)
+
 (* ------------------------------------------------------------------ *)
 (* Critical path extraction (for TILOS-style sizing)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Instance names on the worst timing path: the sizer restricts its
-   upsizing candidates to these instead of trying the whole netlist. *)
-let critical_instances ?(port_loads = []) (nl : Netlist.t) =
-  let view = make_view ~port_loads nl in
-  let ffs = ff_instances view in
-  let ff_out_time = Hashtbl.create 16 in
-  List.iter
-    (fun ((i : Netlist.instance), c) ->
-      let q = Netlist.pin_net_exn i c.Celllib.output in
-      Hashtbl.replace ff_out_time q (ff_clk_to_q view i))
-    ffs;
-  for _round = 1 to List.length ffs do
-    let arrivals =
-      longest_paths view ~source:(fun n ->
-          if List.mem n nl.Netlist.inputs then Some 0.0
-          else Hashtbl.find_opt ff_out_time n)
-    in
-    List.iter
-      (fun ((i : Netlist.instance), c) ->
-        let q = Netlist.pin_net_exn i c.Celllib.output in
-        let ck = Netlist.pin_net_exn i "CK" in
-        let clock_arrival = match arrivals ck with Some t -> t | None -> 0.0 in
-        Hashtbl.replace ff_out_time q (clock_arrival +. ff_clk_to_q view i))
-      ffs
+(* Index of the first of the latest of [n] times, among those later
+   than neg_infinity; -1 when there is none. *)
+let first_latest n time =
+  let best = ref (-1) and best_t = ref neg_infinity in
+  for j = 0 to n - 1 do
+    let t = time j in
+    if not (!best >= 0 && !best_t >= t) && t > neg_infinity then begin
+      best := j;
+      best_t := t
+    end
   done;
-  let arrival =
-    longest_paths view ~source:(fun n ->
-        if List.mem n nl.Netlist.inputs then Some 0.0
-        else Hashtbl.find_opt ff_out_time n)
-  in
-  let arr n = match arrival n with Some t -> t | None -> neg_infinity in
-  (* endpoints: primary outputs and register data-ish pins *)
-  let endpoints =
-    List.map (fun o -> (o, arr o)) nl.Netlist.outputs
-    @ List.concat_map
-        (fun ((i : Netlist.instance), c) ->
-          List.filter_map
-            (fun pin ->
-              Option.map (fun n -> (n, arr n +. c.Celllib.setup))
-                (Netlist.pin_net i pin))
-            (data_pins c))
-        ffs
-  in
-  let worst =
-    List.fold_left
-      (fun acc (n, t) ->
-        match acc with
-        | Some (_, bt) when bt >= t -> acc
-        | _ -> if t > neg_infinity then Some (n, t) else acc)
-      None endpoints
-  in
-  match worst with
-  | None -> []
-  | Some (endpoint, _) ->
-      (* walk backwards through the worst-arrival fanins *)
-      let rec walk net acc guard =
-        if guard > 10000 then acc
-        else
-          match Hashtbl.find_opt view.driver net with
-          | None -> acc
-          | Some inst ->
-              let cell = cell_of view inst in
-              let acc = inst.Netlist.inst_name :: acc in
-              if is_sequential_cell cell then acc
-              else
-                let worst_input =
-                  List.fold_left
-                    (fun best (pin, n) ->
-                      if pin = cell.Celllib.output then best
-                      else
-                        match best with
-                        | Some (_, bt) when bt >= arr n -> best
-                        | _ -> if arr n > neg_infinity then Some (n, arr n) else best)
-                    None inst.Netlist.conns
-                in
-                (match worst_input with
-                 | Some (n, _) -> walk n acc (guard + 1)
-                 | None -> acc)
-      in
-      List.sort_uniq String.compare (walk endpoint [] 0)
+  !best
 
-(* Total sized cell area of a netlist, in µm² (cell widths × the fixed
-   strip height); the pre-layout area figure sizing optimizes against. *)
+(* Instances on the worst timing path, in instance order: the endpoint
+   (primary output or register data pin) with the latest arrival,
+   walked back through worst-arrival fanins. Paths start at the inputs
+   and at the launch times of the last [evaluate]. *)
+let critical g =
+  if not g.launch_fresh then launch_times g;
+  let p = g.pa in
+  start p;
+  let arr n =
+    settle g p Inputs_and_launch n;
+    if p.has.(n) then p.time.(n) else neg_infinity
+  in
+  let rec walk n acc guard =
+    let d = g.driver.(n) in
+    if guard > 10000 || d < 0 then acc
+    else if is_sequential_cell g.cells.(d) then d :: acc
+    else
+      let fi = g.fanin.(d) in
+      match first_latest (Array.length fi) (fun j -> arr fi.(j)) with
+      | -1 -> d :: acc
+      | j -> walk fi.(j) (d :: acc) (guard + 1)
+  in
+  let e =
+    first_latest (Array.length g.endpoints) (fun e ->
+        arr g.endpoints.(e) +. g.endpoint_setup.(e))
+  in
+  if e < 0 then [] else List.sort_uniq Int.compare (walk g.endpoints.(e) [] 0)
+
+(* Total sized cell area of a netlist: the pre-layout area figure
+   sizing optimizes against. *)
 let cell_area (nl : Netlist.t) =
   List.fold_left
     (fun acc (i : Netlist.instance) ->
       match Celllib.find i.cell with
-      | Some c -> acc +. (Celllib.sized_width c i.size *. Celllib.cell_height)
+      | Some c -> acc +. sized_area c i.size
       | None -> acc)
     0.0 nl.Netlist.instances
 

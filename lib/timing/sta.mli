@@ -19,14 +19,50 @@ type report = {
 val analyze :
   ?port_loads:(string * float) list -> Icdb_netlist.Netlist.t -> report
 (** [analyze ~port_loads nl] runs timing with external unit-transistor
-    loads on the named output ports (the CQL [oload] figures).
-    @raise Timing_error on unknown cells or timing loops. *)
+    loads on the named output ports (the CQL [oload] figures):
+    {!build} then {!evaluate}.
+    @raise Timing_error on unknown cells, duplicate instance names,
+    registers without Q or CK connections, or timing loops. *)
 
-val critical_instances :
-  ?port_loads:(string * float) list -> Icdb_netlist.Netlist.t -> string list
-(** Instance names on the worst path (endpoint with the latest
-    arrival, walked back through worst-arrival fanins). The sizer
-    restricts its upsizing candidates to these. *)
+(** {1 Timing graph}
+
+    One array-indexed view of a netlist, built once and re-timed in
+    place as instance sizes change: the sizer tries each candidate
+    resize as {!set_size}, {!evaluate}, then {!set_size} back.
+    Instances are numbered in netlist order. *)
+
+type graph
+
+val build :
+  ?port_loads:(string * float) list -> Icdb_netlist.Netlist.t -> graph
+(** @raise Timing_error on unknown cells, duplicate instance names, or
+    registers without Q or CK connections. *)
+
+val evaluate : graph -> report
+(** The report for the graph's current sizes.
+    @raise Timing_error on timing loops. *)
+
+val critical : graph -> int list
+(** Instances on the worst path at the current sizes (endpoint with the
+    latest arrival, walked back through worst-arrival fanins), in
+    instance order. Reuses the register launch times of the last
+    {!evaluate} when no size has changed since. The sizer restricts its
+    upsizing candidates to these. *)
+
+val instance_count : graph -> int
+
+val size : graph -> int -> float
+(** Current drive multiplier of an instance. *)
+
+val set_size : graph -> int -> float -> unit
+(** Resize one instance, refreshing its own delay, the loads of the
+    nets it reads and the delays of the instances driving them. *)
+
+val area : graph -> float
+(** {!cell_area} of the graph's current sizes. *)
+
+val netlist : graph -> Icdb_netlist.Netlist.t
+(** The netlist with the graph's current sizes. *)
 
 val cell_area : Icdb_netlist.Netlist.t -> float
 (** Total sized cell area in µm² (widths times the strip height): the

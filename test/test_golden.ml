@@ -91,8 +91,125 @@ let test_fig12 () =
       check_golden (Printf.sprintf "fig12_strips%d.cif" a.Shape.alt_strips) cif)
     inst.Instance.shape
 
+(* ------------------------------------------------------------------ *)
+(* Lattice figures                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The 160-point cold-explore lattice: counters of size 2-8 in six
+   attribute variants, each under fastest, balanced and cheapest with
+   the clock bound rotating over none / loose / tight, plus one
+   default-strategy point per single structure. Every point is also
+   requested under one external load on its first data output, so the
+   goldens pin the sizer and STA figures the explore sweep reports. *)
+module Axis = Icdb_explore.Axis
+module Sizing = Icdb_timing.Sizing
+
+let lattice () =
+  let point ?(strategy = Sizing.Balanced) ?clock comp attrs =
+    { Axis.p_component = comp; p_attrs = attrs; p_strategy = strategy;
+      p_clock = clock; p_delay = None }
+  in
+  let variants = [ (1, 1, 3); (0, 1, 3); (1, 0, 2); (0, 0, 2); (1, 1, 1); (0, 0, 1) ] in
+  let strategies = [ Sizing.Fastest; Sizing.Balanced; Sizing.Cheapest ] in
+  let counters =
+    List.concat_map
+      (fun size ->
+        List.concat
+          (List.mapi
+             (fun v (load, enable, ud) ->
+               List.mapi
+                 (fun si strategy ->
+                   let clock =
+                     match (v + si) mod 3 with
+                     | 0 -> None
+                     | 1 -> Some (float_of_int ((3 * size) + 14))
+                     | _ -> Some (float_of_int ((3 * size) + 8))
+                   in
+                   point ~strategy ?clock "counter"
+                     [ ("size", size); ("load", load); ("enable", enable);
+                       ("up_or_down", ud) ])
+                 strategies)
+             variants))
+      [ 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  let singles =
+    List.concat_map
+      (fun (comp, n) -> List.init n (fun i -> point comp [ ("size", i + 1) ]))
+      [ ("adder", 6); ("alu", 4); ("comparator", 4); ("multiplier", 6);
+        ("register", 8); ("mux_scl", 6) ]
+  in
+  counters @ singles
+
+(* The component's first data output, bit 0 when it is a bus. *)
+let load_port comp =
+  let c = Option.get (Icdb_genus.Component.find comp) in
+  let p =
+    List.find
+      (fun (p : Icdb_genus.Component.port) ->
+        p.Icdb_genus.Component.role = Icdb_genus.Component.Data_out)
+      c.Icdb_genus.Component.ports
+  in
+  if p.Icdb_genus.Component.bus then p.Icdb_genus.Component.port_name ^ "[0]"
+  else p.Icdb_genus.Component.port_name
+
+(* One line of figures per request; floats in %h so that any change of
+   the last bit shows. *)
+let point_figures server (p : Axis.point) loads =
+  let spec =
+    Spec.make
+      ~constraints:{ (Axis.point_constraints p) with Sizing.port_loads = loads }
+      (Spec.From_component
+         { component = p.Axis.p_component; attributes = p.Axis.p_attrs;
+           functions = [] })
+  in
+  let inst = Server.request_component server spec in
+  let r = inst.Instance.report in
+  let ports l =
+    String.concat "," (List.map (fun (n, t) -> Printf.sprintf "%s:%h" n t) l)
+  in
+  Printf.sprintf "%s load=%s dump=%s CW=%h WD=[%s] SD=[%s] area=%h shapes=[%s]"
+    (Axis.point_to_string p)
+    (ports loads)
+    (Digest.to_hex
+       (Digest.string
+          (Icdb_netlist.Vhdl.dump { inst.Instance.netlist with name = "golden" })))
+    r.Icdb_timing.Sta.clock_width
+    (ports r.Icdb_timing.Sta.output_delays)
+    (ports r.Icdb_timing.Sta.setup_times)
+    (Shape.best_area inst.Instance.shape).Shape.alt_area
+    (String.concat ","
+       (List.map
+          (fun (a : Shape.alternative) ->
+            Printf.sprintf "%d:%h:%h:%h" a.Shape.alt_strips a.Shape.alt_width
+              a.Shape.alt_height a.Shape.alt_area)
+          inst.Instance.shape))
+
+let test_lattice () =
+  let server = Server.create ~verify:false () in
+  let lines =
+    List.concat_map
+      (fun (p : Axis.point) ->
+        [ point_figures server p [];
+          point_figures server p [ (load_port p.Axis.p_component, 20.0) ] ])
+      (lattice ())
+  in
+  check Alcotest.int "320 requests" 320 (List.length lines);
+  let text = String.concat "\n" lines ^ "\n" in
+  let name = "lattice_figures.txt" in
+  let path = Filename.concat (Lazy.force golden_dir) name in
+  if bless || not (Sys.file_exists path) then check_golden name text
+  else
+    let expected = String.split_on_char '\n' (read_file path) in
+    let actual = String.split_on_char '\n' text in
+    check Alcotest.int "line count" (List.length expected) (List.length actual);
+    List.iter2
+      (fun e a -> if e <> a then check Alcotest.string "lattice figures" e a)
+      expected actual
+
 let () =
   Alcotest.run "golden"
     [ ("cif",
        [ Alcotest.test_case "fig9 counters" `Quick test_fig9;
-         Alcotest.test_case "fig12 shapes" `Quick test_fig12 ]) ]
+         Alcotest.test_case "fig12 shapes" `Quick test_fig12 ]);
+      ("lattice",
+       [ Alcotest.test_case "cold-explore figures" `Quick test_lattice ]) ]

@@ -198,6 +198,31 @@ let test_vhdl_cluster_request () =
     (Instance.gate_count inst);
   check Alcotest.bool "cluster has a shape" true (inst.Instance.shape <> [])
 
+(* Two instances under one label would share their internal nets (a
+   timing loop once flattened): the cluster is refused as bad VHDL. *)
+let test_vhdl_cluster_duplicate_label () =
+  with_server @@ fun server ->
+  ignore
+    (Server.request_component server
+       (Spec.make ~name_hint:"add2"
+          (Spec.From_implementation
+             { implementation = "ADDER"; params = [ ("size", 1) ] })));
+  let vhdl =
+    "entity cluster2 is port (\n\
+     a : in bit; b : in bit; c : in bit; ci : in bit;\n\
+     s[0] : out bit; s[1] : out bit; co : out bit );\n\
+     end cluster2;\n\
+     architecture s of cluster2 is begin\n\
+     u1: add2 port map (I0[0] => a, I1[0] => b, Cin => ci, O[0] => s[0], Cout => t);\n\
+     u1: add2 port map (I0[0] => t, I1[0] => c, Cin => ci, O[0] => s[1], Cout => co);\n\
+     end s;"
+  in
+  match Server.request_component server (Spec.make (Spec.From_vhdl_netlist vhdl)) with
+  | _ -> Alcotest.fail "expected Icdb_error"
+  | exception Server.Icdb_error msg ->
+      check Alcotest.bool ("names the label: " ^ msg) true
+        (contains msg "VHDL: " && contains msg "duplicate instance label u1")
+
 let test_request_layout () =
   with_server @@ fun server ->
   let inst = Server.request_component server (counter_spec ()) in
@@ -489,6 +514,8 @@ let () =
          Alcotest.test_case "strategy fastest" `Quick test_request_with_strategy_fastest;
          Alcotest.test_case "constraints met flag" `Quick test_constraints_met_flag;
          Alcotest.test_case "VHDL cluster" `Quick test_vhdl_cluster_request;
+         Alcotest.test_case "VHDL cluster duplicate label" `Quick
+           test_vhdl_cluster_duplicate_label;
          Alcotest.test_case "layout request" `Quick test_request_layout;
          Alcotest.test_case "insert implementation" `Quick test_insert_implementation_and_use;
          Alcotest.test_case "component list lifecycle" `Quick test_component_list_lifecycle;

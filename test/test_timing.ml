@@ -202,7 +202,119 @@ let prop_sizing_never_breaks_function =
              a.cell = b.cell && a.conns = b.conns && b.size >= a.size)
            nl.Netlist.instances sized.Netlist.instances)
 
+(* ------------------------------------------------------------------ *)
+(* The incremental timing graph                                        *)
+(* ------------------------------------------------------------------ *)
+
+let graph_netlists =
+  lazy
+    [| counter ~size:3 ~typ:1 ();
+       counter ~size:4 ~load:1 ~enable:1 ~ud:3 ();
+       counter ~size:5 ();
+       adder 3;
+       adder 5 |]
+
+let report_bits (r : Sta.report) =
+  let bits l = List.map (fun (p, t) -> (p, Int64.bits_of_float t)) l in
+  (Int64.bits_of_float r.Sta.clock_width, bits r.Sta.output_delays,
+   bits r.Sta.setup_times)
+
+(* Random resizes, including restores to the size an instance had,
+   re-timed in place: after every step the report and the critical
+   set equal those of a graph built afresh from the materialized
+   netlist, to the last bit. The fresh graph is asked for its critical
+   set before any report, so it computes its own launch times; the
+   resized one is asked before or after its report at random, so both
+   stale and reused launch times are covered. *)
+let prop_set_size_matches_fresh_graph =
+  QCheck.Test.make ~name:"set_size matches a fresh graph" ~count:40
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 30))
+    (fun (seed, steps) ->
+      let st = Random.State.make [| seed |] in
+      let nls = Lazy.force graph_netlists in
+      let nl = nls.(Random.State.int st (Array.length nls)) in
+      let port_loads =
+        List.filter_map
+          (fun o ->
+            if Random.State.bool st then Some (o, Random.State.float st 50.0)
+            else None)
+          nl.Netlist.outputs
+      in
+      let g = Sta.build ~port_loads nl in
+      let n = Sta.instance_count g in
+      let history = ref [] in
+      let ok = ref true in
+      for _ = 1 to steps do
+        (match !history with
+         | (k, old) :: rest when Random.State.int st 3 = 0 ->
+             Sta.set_size g k old;
+             history := rest
+         | _ ->
+             let k = Random.State.int st n in
+             let s = Sta.size g k in
+             history := (k, s) :: !history;
+             Sta.set_size g k
+               (if Random.State.bool st then Float.min Sizing.max_size (s *. 1.3)
+                else 1.0 +. Random.State.float st 7.0));
+        let crit, r =
+          if Random.State.bool st then
+            let crit = Sta.critical g in
+            (crit, Sta.evaluate g)
+          else
+            let r = Sta.evaluate g in
+            (Sta.critical g, r)
+        in
+        let fresh = Sta.build ~port_loads (Sta.netlist g) in
+        let fresh_crit = Sta.critical fresh in
+        if report_bits r <> report_bits (Sta.evaluate fresh)
+           || crit <> fresh_crit
+           || Int64.bits_of_float (Sta.area g)
+              <> Int64.bits_of_float (Sta.cell_area (Sta.netlist g))
+        then ok := false
+      done;
+      !ok)
+
 let props = List.map QCheck_alcotest.to_alcotest [ prop_sizing_never_breaks_function ]
+
+(* Two cross-coupled NAND2s: a combinational loop. *)
+let nand_loop =
+  { Netlist.name = "loop";
+    inputs = [ "a"; "b" ];
+    outputs = [ "y1"; "y2" ];
+    instances =
+      [ { Netlist.inst_name = "U1"; cell = "NAND2"; size = 1.0;
+          conns = [ ("A", "a"); ("B", "y2"); ("Y", "y1") ] };
+        { Netlist.inst_name = "U2"; cell = "NAND2"; size = 1.0;
+          conns = [ ("A", "b"); ("B", "y1"); ("Y", "y2") ] } ] }
+
+let with_cell cell =
+  { Netlist.name = "one";
+    inputs = [ "a" ];
+    outputs = [ "y" ];
+    instances =
+      [ { Netlist.inst_name = "U1"; cell; size = 1.0;
+          conns = [ ("A", "a"); ("Y", "y") ] } ] }
+
+let raises_timing_error what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Timing_error" what
+  | exception Sta.Timing_error _ -> ()
+
+let test_errors () =
+  let size strategy nl () =
+    Sizing.size_to_constraints nl { Sizing.default_constraints with strategy }
+  in
+  List.iter
+    (fun (what, nl) ->
+      raises_timing_error (what ^ ": analyze") (fun () -> Sta.analyze nl);
+      raises_timing_error (what ^ ": balanced sizing") (size Sizing.Balanced nl);
+      raises_timing_error (what ^ ": fastest sizing") (size Sizing.Fastest nl))
+    [ ("combinational loop", nand_loop); ("unknown cell", with_cell "NO_SUCH_CELL") ];
+  let twice = with_cell "INV" in
+  let twice =
+    { twice with instances = twice.Netlist.instances @ twice.Netlist.instances }
+  in
+  raises_timing_error "duplicate instance name" (fun () -> Sta.build twice)
 
 let () =
   Alcotest.run "timing"
@@ -221,4 +333,7 @@ let () =
          Alcotest.test_case "meets comb delay" `Quick test_sizing_meets_comb_delay;
          Alcotest.test_case "clock width constraint" `Quick test_sizing_clock_width_constraint;
          Alcotest.test_case "load costs area" `Quick test_sizing_load_costs_area ]);
+      ("graph",
+       [ QCheck_alcotest.to_alcotest prop_set_size_matches_fresh_graph;
+         Alcotest.test_case "timing errors" `Quick test_errors ]);
       ("properties", props) ]
