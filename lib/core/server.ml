@@ -413,17 +413,11 @@ let generator_of t spec =
       | None -> fail "unknown component generator %s" name)
 
 let verify_instance flat netlist =
-  let n_inputs = List.length flat.Flat.finputs in
-  let sequential =
-    List.exists Flat.is_sequential flat.Flat.fequations
-  in
-  if (not sequential) && n_inputs > 14 then ()  (* too wide to enumerate *)
-  else
-    match Icdb_sim.Equiv.check ~steps:120 flat netlist with
-    | Icdb_sim.Equiv.Equivalent -> ()
-    | m ->
-        fail "generated netlist does not match its IIF specification: %s"
-          (Icdb_sim.Equiv.result_to_string m)
+  match Icdb_sim.Equiv.check ~steps:120 flat netlist with
+  | Icdb_sim.Equiv.Equivalent -> ()
+  | m ->
+      fail "generated netlist does not match its IIF specification: %s"
+        (Icdb_sim.Equiv.result_to_string m)
 
 (* The preferred generator first, then every other registered one in a
    deterministic order — the fallback chain for graceful degradation. *)

@@ -28,8 +28,13 @@ val create :
   t
 (** A server preloaded with the generic component library and the
     builtin generators. [verify] (default true) simulates every
-    generated netlist against its IIF specification and fails loudly
-    on mismatch. [workspace] defaults to a fresh temp directory unique
+    generated netlist against its IIF specification with
+    {!Icdb_sim.Equiv.check}: exhaustively for a combinational design
+    of at most {!Icdb_sim.Equiv.max_exhaustive} inputs, by a seeded
+    random sequence otherwise. A netlist that does not match is
+    rejected like a failed generator: the request falls back to the
+    next generator and is served degraded, or fails when none is
+    left. [workspace] defaults to a fresh temp directory unique
     to this server. [durable] (default false) journals to
     [<workspace>/icdb.journal] for {!reopen}. [cache_capacity]
     (default 512) bounds the exact-specification reuse cache and the

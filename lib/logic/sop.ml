@@ -39,11 +39,26 @@ let of_minterms nvars minterms =
   { nvars;
     implicants = List.map (fun m -> { bits = m; mask = 0 }) minterms }
 
+(* Every implicant covers [bits] with any sub-mask of [mask] set, so the
+   covered points are marked once each instead of testing every
+   implicant at every point. *)
 let minterms t =
   let n = 1 lsl t.nvars in
+  let on = Bytes.make n '\000' in
+  List.iter
+    (fun i ->
+      let base = i.bits land lnot i.mask and mask = i.mask land (n - 1) in
+      if base >= 0 && base < n then begin
+        let rec mark sub =
+          Bytes.unsafe_set on (base lor sub) '\001';
+          if sub <> 0 then mark ((sub - 1) land mask)
+        in
+        mark mask
+      end)
+    t.implicants;
   let out = ref [] in
   for m = n - 1 downto 0 do
-    if eval t m then out := m :: !out
+    if Bytes.unsafe_get on m <> '\000' then out := m :: !out
   done;
   !out
 
@@ -61,54 +76,66 @@ let literal_count t =
 (* Quine–McCluskey prime implicant generation                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Combine two implicants differing in exactly one cared bit. *)
-let try_combine a b =
-  if a.mask <> b.mask then None
-  else
-    let diff = (a.bits lxor b.bits) land lnot a.mask in
-    if diff <> 0 && diff land (diff - 1) = 0 then
-      Some { bits = a.bits land lnot diff; mask = a.mask lor diff }
-    else None
-
-let prime_implicants _nvars minterms =
-  if minterms = [] then []
-  else begin
-    let current = ref (List.map (fun m -> { bits = m; mask = 0 }) minterms) in
-    let primes = ref [] in
-    let continue_ = ref true in
-    while !continue_ do
-      let arr = Array.of_list !current in
-      let n = Array.length arr in
-      let used = Array.make n false in
-      let next = Hashtbl.create 64 in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          match try_combine arr.(i) arr.(j) with
-          | Some c ->
-              used.(i) <- true;
-              used.(j) <- true;
-              Hashtbl.replace next (c.bits, c.mask) c
-          | None -> ()
-        done
-      done;
-      for i = 0 to n - 1 do
-        if not used.(i) then primes := arr.(i) :: !primes
-      done;
-      let merged = Hashtbl.fold (fun _ c acc -> c :: acc) next [] in
-      if merged = [] then continue_ := false else current := merged
-    done;
-    (* dedupe primes *)
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun p ->
-        if Hashtbl.mem seen (p.bits, p.mask) then false
-        else begin
-          Hashtbl.add seen (p.bits, p.mask) ();
-          true
-        end)
-      !primes
-    |> List.sort compare
-  end
+(* Prime generation by neighbour lookup. An implicant's bits are zero
+   under its mask, so two implicants of one level merge exactly when
+   they share a mask and one is the other with a single cared 0-bit
+   set. A level is a list of groups, one per mask, and while a group is
+   processed a 2^nvars table marks its members, so each partner is one
+   lookup. Every sub-cube of an implicant is an implicant too, so a
+   merged implicant of mask [m lor b] arises from group [m] along every
+   bit of its mask; keeping only the merge along its lowest bit
+   produces each next-level implicant once, already grouped by mask.
+   Members left unmerged are the primes. A function's set of primes is
+   unique, so the sorted list equals that of any complete
+   Quine–McCluskey pass. *)
+let prime_implicants nvars minterms =
+  let full = (1 lsl nvars) - 1 in
+  (* 0: not in the current group; 1: member; 2: member that merged *)
+  let table = Bytes.make (full + 1) '\000' in
+  let primes = ref [] in
+  let rec level groups =
+    if groups <> [] then
+      level
+        (List.concat_map
+           (fun (mask, members) ->
+             Array.iter (fun x -> Bytes.unsafe_set table x '\001') members;
+             let scratch = Array.make (Array.length members) 0 in
+             let next = ref [] in
+             for v = 0 to nvars - 1 do
+               let b = 1 lsl v in
+               if mask land b = 0 then begin
+                 (* merges along [b] are emitted when [b] is below every
+                    bit of [mask] *)
+                 let emit = mask land (b - 1) = 0 in
+                 let count = ref 0 in
+                 Array.iter
+                   (fun x ->
+                     if x land b = 0
+                        && Bytes.unsafe_get table (x lor b) <> '\000'
+                     then begin
+                       Bytes.unsafe_set table x '\002';
+                       Bytes.unsafe_set table (x lor b) '\002';
+                       if emit then begin
+                         scratch.(!count) <- x;
+                         incr count
+                       end
+                     end)
+                   members;
+                 if !count > 0 then
+                   next := (mask lor b, Array.sub scratch 0 !count) :: !next
+               end
+             done;
+             Array.iter
+               (fun x ->
+                 if Bytes.unsafe_get table x = '\001' then
+                   primes := { bits = x; mask } :: !primes;
+                 Bytes.unsafe_set table x '\000')
+               members;
+             !next)
+           groups)
+  in
+  level [ (0, Array.of_list minterms) ];
+  List.sort compare !primes
 
 (* Cover selection: essential primes first, then greedily pick the prime
    covering the most remaining minterms (ties broken by fewer literals,

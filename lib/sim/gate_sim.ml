@@ -5,7 +5,11 @@
    logic functions so generated components can be verified against
    their IIF specification. Semantics mirror {!Icdb_iif.Interp} (settle
    combinational logic, then iterate register updates), so the two can
-   be compared step by step. *)
+   be compared step by step.
+
+   [create] numbers every net and compiles each cell function once
+   into a tree over net numbers; values, clock history and latch state
+   live in arrays. *)
 
 open Icdb_netlist
 open Icdb_logic
@@ -14,40 +18,129 @@ exception Sim_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Sim_error s)) fmt
 
-type ff_info = {
-  inst : string;
-  out : string;
-  d : string;
-  ck : string;
-  s : string option;
-  r : string option;
-}
+(* Nets 0 and 1 are "$const0" and "$const1": they read as constants
+   and ignore writes. *)
+let const1 = 1
 
-type compiled =
-  | Ccomb of { out : string; cell : Celllib.t; pins : (string * string) list }
-  | Cff of ff_info
-  | Clatch of { inst : string; out : string; d : string; g : string;
-                transparent_high : bool }
-  | Ctri_group of { out : string; drivers : (string * string) list }
-      (* (data net, enable net) list; enable "$const1" = always on *)
+(* A cell function with its pins bound to nets. A pin the instance
+   leaves unconnected, or an operator a cell function cannot hold,
+   raises when evaluation reaches it. *)
+type expr =
+  | Const of bool
+  | Net of int
+  | Raise of string
+  | Not of expr
+  | And of expr list
+  | Or of expr list
+  | Xor of expr * expr
+  | Xnor of expr * expr
+
+type element =
+  | Comb of { out : int; fn : expr }
+  | Latch of { slot : int; out : int; d : int; g : int; transparent_high : bool }
+  | Tri_group of { out : int; drivers : (int * int) list }
+      (* (data net, enable net) list *)
+
+type ff = {
+  slot : int;   (* instance number, keying the clock history *)
+  out : int;
+  d : int;
+  ck : int;
+  s : int;      (* -1: no set pin *)
+  r : int;      (* -1: no reset pin *)
+}
 
 type t = {
-  nl : Netlist.t;
-  elements : compiled list;
-  values : (string, bool) Hashtbl.t;
-  prev_clock : (string, bool) Hashtbl.t;   (* keyed by FF instance name *)
-  latch_store : (string, bool) Hashtbl.t;  (* keyed by latch instance name *)
+  name : string;
+  ids : (string, int) Hashtbl.t;       (* net name -> number *)
+  inputs : (string, int) Hashtbl.t;    (* primary input -> number *)
+  outputs : (string * int) list;
+  elements : element array;  (* non-FF cells in instance order, tri groups last *)
+  regs : ff array;                     (* flip-flops in instance order *)
+  limit : int;                         (* settle passes before failing *)
+  values : bool array;
+  clock_seen : bool array;             (* by FF instance *)
+  prev_clock : bool array;             (* by FF instance *)
+  latch_held : bool array;             (* by latch instance *)
+  latch_set : bool array;              (* by latch instance *)
+  others : (string, bool) Hashtbl.t;   (* poked names outside the design *)
+  clocks : bool array;                 (* per FF: this round's clock *)
+  nexts : bool array;                  (* per FF: this round's next value *)
 }
 
-let value st net =
-  if net = "$const1" then true
-  else if net = "$const0" then false
-  else
-    match Hashtbl.find_opt st.values net with Some v -> v | None -> false
+let set st net v = if net > const1 then st.values.(net) <- v
 
-let compile (nl : Netlist.t) =
+let value st net =
+  match Hashtbl.find_opt st.ids net with
+  | Some i -> st.values.(i)
+  | None -> ( match Hashtbl.find_opt st.others net with Some v -> v | None -> false)
+
+(* AND and OR stop at their first controlling input, and XOR/XNOR read
+   their right operand first, which decides the pin a partly
+   unconnected cell reports. *)
+let rec eval v e =
+  match e with
+  | Const b -> b
+  | Net i -> Array.unsafe_get v i
+  | Raise msg -> raise (Sim_error msg)
+  | Not e -> not (eval v e)
+  | And es -> all v es
+  | Or es -> any v es
+  | Xor (a, b) ->
+      let y = eval v b in
+      eval v a <> y
+  | Xnor (a, b) ->
+      let y = eval v b in
+      eval v a = y
+
+and all v = function [] -> true | e :: es -> eval v e && all v es
+
+and any v = function [] -> false | e :: es -> eval v e || any v es
+
+(* The number of [name] in [tbl], numbering names as they first occur. *)
+let intern tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length tbl in
+      Hashtbl.add tbl name i;
+      i
+
+let create (nl : Netlist.t) =
+  let ids = Hashtbl.create 128 and insts = Hashtbl.create 16 in
+  let id = intern ids and inst_id = intern insts in
+  ignore (id "$const0");
+  ignore (id "$const1");
+  let compile (cell : Celllib.t) conns =
+    let rec go e =
+      match e with
+      | Icdb_iif.Flat.Fconst b -> Const b
+      | Icdb_iif.Flat.Fnet p -> (
+          match List.assoc_opt p conns with
+          | Some n -> Net (id n)
+          | None ->
+              Raise (Printf.sprintf "cell %s: pin %s unconnected" cell.Celllib.cname p))
+      | Icdb_iif.Flat.Fnot e -> Not (go e)
+      | Icdb_iif.Flat.Fand es -> And (List.map go es)
+      | Icdb_iif.Flat.For_ es -> Or (List.map go es)
+      | Icdb_iif.Flat.Fxor (a, b) -> Xor (go a, go b)
+      | Icdb_iif.Flat.Fxnor (a, b) -> Xnor (go a, go b)
+      | Icdb_iif.Flat.Fbuf e | Icdb_iif.Flat.Fschmitt e
+      | Icdb_iif.Flat.Fdelay (e, _) ->
+          go e
+      | Icdb_iif.Flat.Ftri _ | Icdb_iif.Flat.Fwor _ ->
+          Raise
+            (Printf.sprintf "cell %s: interface operator in cell function"
+               cell.Celllib.cname)
+    in
+    match cell.Celllib.logic with
+    | Some f -> go f
+    | None ->
+        Raise
+          (Printf.sprintf "cell %s has no combinational function" cell.Celllib.cname)
+  in
   let tri_groups = Hashtbl.create 8 in
-  let elements = ref [] in
+  let elements = ref [] and regs = ref [] and count = ref 0 in
   List.iter
     (fun (inst : Netlist.instance) ->
       let cell =
@@ -55,178 +148,165 @@ let compile (nl : Netlist.t) =
         | Some c -> c
         | None -> fail "unknown cell %s (instance %s)" inst.cell inst.inst_name
       in
-      let pin p = Netlist.pin_net_exn inst p in
+      (* pins resolve in the order written below, which decides the
+         one reported when several are missing *)
+      let pin p = id (Netlist.pin_net_exn inst p) in
       match cell.Celllib.kind with
       | Celllib.Comb ->
-          elements :=
-            Ccomb { out = pin cell.Celllib.output; cell; pins = inst.conns }
-            :: !elements
+          let out = pin cell.Celllib.output in
+          incr count;
+          elements := Comb { out; fn = compile cell inst.conns } :: !elements
       | Celllib.Ff { has_set; has_reset } ->
-          elements :=
-            Cff
-              { inst = inst.inst_name;
-                out = pin "Q";
-                d = pin "D";
-                ck = pin "CK";
-                s = (if has_set then Some (pin "S") else None);
-                r = (if has_reset then Some (pin "R") else None) }
-            :: !elements
+          let r = if has_reset then pin "R" else -1 in
+          let s = if has_set then pin "S" else -1 in
+          let ck = pin "CK" in
+          let d = pin "D" in
+          let out = pin "Q" in
+          incr count;
+          regs := { slot = inst_id inst.inst_name; out; d; ck; s; r } :: !regs
       | Celllib.Latch_cell { transparent_high } ->
+          let g = pin "G" in
+          let d = pin "D" in
+          let out = pin "Q" in
+          incr count;
           elements :=
-            Clatch
-              { inst = inst.inst_name; out = pin "Q"; d = pin "D";
-                g = pin "G"; transparent_high }
+            Latch { slot = inst_id inst.inst_name; out; d; g; transparent_high }
             :: !elements
       | Celllib.Tri_cell ->
-          let out = pin "Y" in
+          let out = Netlist.pin_net_exn inst "Y" in
           let prev =
             match Hashtbl.find_opt tri_groups out with Some l -> l | None -> []
           in
-          Hashtbl.replace tri_groups out ((pin "A", pin "EN") :: prev))
+          let enable = pin "EN" in
+          let data = pin "A" in
+          Hashtbl.replace tri_groups out ((data, enable) :: prev))
     nl.Netlist.instances;
   let tri_elements =
     Hashtbl.fold
       (fun out drivers acc ->
-        Ctri_group { out; drivers = List.rev drivers } :: acc)
+        Tri_group { out = id out; drivers = List.rev drivers } :: acc)
       tri_groups []
   in
-  List.rev !elements @ tri_elements
+  let inputs = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace inputs n (id n)) nl.Netlist.inputs;
+  let outputs = List.map (fun n -> (n, id n)) nl.Netlist.outputs in
+  let nets = Hashtbl.length ids and ninsts = Hashtbl.length insts in
+  let nregs = List.length !regs in
+  let values = Array.make nets false in
+  values.(const1) <- true;
+  { name = nl.Netlist.name;
+    ids;
+    inputs;
+    outputs;
+    elements = Array.of_list (List.rev_append !elements tri_elements);
+    regs = Array.of_list (List.rev !regs);
+    limit = !count + List.length tri_elements + 8;
+    values;
+    clock_seen = Array.make ninsts false;
+    prev_clock = Array.make ninsts false;
+    latch_held = Array.make ninsts false;
+    latch_set = Array.make ninsts false;
+    others = Hashtbl.create 1;
+    clocks = Array.make nregs false;
+    nexts = Array.make nregs false }
 
-let create nl =
-  { nl;
-    elements = compile nl;
-    values = Hashtbl.create 128;
-    prev_clock = Hashtbl.create 16;
-    latch_store = Hashtbl.create 16 }
+(* Write [x] to [out]; true when that changes what [out] reads, or
+   would change it for a constant net. *)
+let update st out x =
+  if st.values.(out) <> x then begin
+    set st out x;
+    true
+  end
+  else false
 
-(* Evaluate a combinational cell's function with pins bound to nets. *)
-let eval_cell st (cell : Celllib.t) pins =
-  let lookup pin =
-    match List.assoc_opt pin pins with
-    | Some n -> value st n
-    | None -> fail "cell %s: pin %s unconnected" cell.Celllib.cname pin
-  in
-  let rec ev e =
-    match e with
-    | Icdb_iif.Flat.Fconst b -> b
-    | Icdb_iif.Flat.Fnet p -> lookup p
-    | Icdb_iif.Flat.Fnot e -> not (ev e)
-    | Icdb_iif.Flat.Fand es -> List.for_all ev es
-    | Icdb_iif.Flat.For_ es -> List.exists ev es
-    | Icdb_iif.Flat.Fxor (a, b) -> ev a <> ev b
-    | Icdb_iif.Flat.Fxnor (a, b) -> ev a = ev b
-    | Icdb_iif.Flat.Fbuf e | Icdb_iif.Flat.Fschmitt e -> ev e
-    | Icdb_iif.Flat.Fdelay (e, _) -> ev e
-    | Icdb_iif.Flat.Ftri _ | Icdb_iif.Flat.Fwor _ ->
-        fail "cell %s: interface operator in cell function" cell.Celllib.cname
-  in
-  match cell.Celllib.logic with
-  | Some f -> ev f
-  | None -> fail "cell %s has no combinational function" cell.Celllib.cname
+(* Drive a tri-state bus with the OR of its enabled drivers; with none
+   enabled the bus keeper retains the value. *)
+let rec drive_bus st out active acc = function
+  | [] -> active && update st out acc
+  | (d, en) :: rest ->
+      if st.values.(en) then drive_bus st out true (st.values.(d) || acc) rest
+      else drive_bus st out active acc rest
 
 let comb_pass st =
+  let v = st.values in
   let changed = ref false in
-  let update out v =
-    if value st out <> v then begin
-      Hashtbl.replace st.values out v;
-      changed := true
-    end
-  in
-  List.iter
-    (fun el ->
-      match el with
-      | Ccomb { out; cell; pins } -> update out (eval_cell st cell pins)
-      | Clatch { inst; out; d; g; transparent_high } ->
-          let gv = value st g in
+  for k = 0 to Array.length st.elements - 1 do
+    let c =
+      match st.elements.(k) with
+      | Comb { out; fn } -> update st out (eval v fn)
+      | Latch { slot; out; d; g; transparent_high } ->
+          let gv = v.(g) in
           let transparent = if transparent_high then gv else not gv in
-          let v =
+          let x =
             if transparent then begin
-              let dv = value st d in
-              Hashtbl.replace st.latch_store inst dv;
+              let dv = v.(d) in
+              st.latch_held.(slot) <- dv;
+              st.latch_set.(slot) <- true;
               dv
             end
-            else
-              match Hashtbl.find_opt st.latch_store inst with
-              | Some held -> held
-              | None -> value st out
+            else if st.latch_set.(slot) then st.latch_held.(slot)
+            else v.(out)
           in
-          update out v
-      | Ctri_group { out; drivers } ->
-          let enabled =
-            List.filter_map
-              (fun (d, en) -> if value st en then Some (value st d) else None)
-              drivers
-          in
-          (match enabled with
-           | [] -> ()  (* bus keeper: retain previous value *)
-           | vs -> update out (List.exists Fun.id vs))
-      | Cff _ -> ())
-    st.elements;
+          update st out x
+      | Tri_group { out; drivers } -> drive_bus st out false false drivers
+    in
+    if c then changed := true
+  done;
   !changed
 
 let settle st =
-  let limit = List.length st.elements + 8 in
   let rec loop n =
     if comb_pass st then
-      if n >= limit then fail "netlist %s failed to settle" st.nl.Netlist.name
+      if n >= st.limit then fail "netlist %s failed to settle" st.name
       else loop (n + 1)
   in
   loop 0
 
 let update_registers st =
-  let regs =
-    List.filter_map
-      (fun el -> match el with Cff f -> Some f | _ -> None)
-      st.elements
-  in
-  let rounds = List.length regs + 2 in
-  let rec loop n =
+  let v = st.values and n = Array.length st.regs in
+  let rounds = n + 2 in
+  let rec loop round =
     settle st;
-    let updates =
-      List.map
-        (fun (f : _) ->
-          let clk = value st f.ck in
-          let prev_clk =
-            match Hashtbl.find_opt st.prev_clock f.inst with
-            | Some v -> v
-            | None -> clk
-          in
-          let fired = (not prev_clk) && clk in
-          let current = value st f.out in
-          let forced =
-            (* reset wins over set, matching the DFF_SR cell *)
-            match f.r, f.s with
-            | Some r, _ when value st r -> Some false
-            | _, Some s when value st s -> Some true
-            | _ -> None
-          in
-          let next =
-            match forced with
-            | Some v -> v
-            | None -> if fired then value st f.d else current
-          in
-          (f.inst, f.out, clk, next, next <> current))
-        regs
-    in
-    let any_change = List.exists (fun (_, _, _, _, c) -> c) updates in
-    List.iter
-      (fun (inst, out, clk, next, _) ->
-        Hashtbl.replace st.prev_clock inst clk;
-        Hashtbl.replace st.values out next)
-      updates;
-    if any_change && n < rounds then loop (n + 1) else settle st
+    let any_change = ref false in
+    for k = 0 to n - 1 do
+      let f = st.regs.(k) in
+      let clk = v.(f.ck) in
+      let prev_clk = if st.clock_seen.(f.slot) then st.prev_clock.(f.slot) else clk in
+      let fired = (not prev_clk) && clk in
+      let current = v.(f.out) in
+      let next =
+        (* reset wins over set, matching the DFF_SR cell *)
+        if f.r >= 0 && v.(f.r) then false
+        else if f.s >= 0 && v.(f.s) then true
+        else if fired then v.(f.d)
+        else current
+      in
+      st.clocks.(k) <- clk;
+      st.nexts.(k) <- next;
+      if next <> current then any_change := true
+    done;
+    for k = 0 to n - 1 do
+      let f = st.regs.(k) in
+      st.clock_seen.(f.slot) <- true;
+      st.prev_clock.(f.slot) <- st.clocks.(k);
+      set st f.out st.nexts.(k)
+    done;
+    if !any_change && round < rounds then loop (round + 1) else settle st
   in
   loop 0
 
 let step st inputs =
   List.iter
     (fun (n, v) ->
-      if not (List.mem n st.nl.Netlist.inputs) then
-        fail "Gate_sim.step: %s is not an input of %s" n st.nl.Netlist.name;
-      Hashtbl.replace st.values n v)
+      match Hashtbl.find_opt st.inputs n with
+      | Some i -> set st i v
+      | None -> fail "Gate_sim.step: %s is not an input of %s" n st.name)
     inputs;
   update_registers st
 
-let outputs st = List.map (fun o -> (o, value st o)) st.nl.Netlist.outputs
+let outputs st = List.map (fun (o, i) -> (o, st.values.(i))) st.outputs
 
-let poke st net v = Hashtbl.replace st.values net v
+let poke st net v =
+  match Hashtbl.find_opt st.ids net with
+  | Some i -> set st i v
+  | None -> Hashtbl.replace st.others net v

@@ -155,6 +155,35 @@ let test_insert_generator () =
   let inst = request server ~generator:"custom" "adder" [ ("size", 3) ] in
   check Alcotest.bool "usable" true (Instance.gate_count inst > 0)
 
+(* Verification covers every design: a generator whose netlist is
+   wrong in one cell is caught and the request falls back to the next
+   generator, also for a combinational design too wide to enumerate
+   (mux_scl 8 has 17 inputs, so it gets the seeded random sequence). *)
+let test_wide_mutant_falls_back () =
+  with_server @@ fun server ->
+  let swap_first_nand (nl : Icdb_netlist.Netlist.t) =
+    let swapped = ref false in
+    { nl with
+      instances =
+        List.map
+          (fun (i : Icdb_netlist.Netlist.instance) ->
+            if (not !swapped) && i.cell = "NAND2" then begin
+              swapped := true;
+              { i with cell = "NOR2" }
+            end
+            else i)
+          nl.instances }
+  in
+  Server.insert_generator server
+    { Generator.gen_name = "faulty";
+      gen_description = "milo with one NAND2 mapped as NOR2";
+      synthesize =
+        (fun flat -> swap_first_nand (Generator.milo.Generator.synthesize flat)) };
+  let inst = request server ~generator:"faulty" "mux_scl" [ ("size", 8) ] in
+  check Alcotest.int "17 inputs" 17
+    (List.length inst.Instance.netlist.Icdb_netlist.Netlist.inputs);
+  check Alcotest.bool "served degraded" true inst.Instance.degraded
+
 (* ------------------------------------------------------------------ *)
 (* Universal attributes (App B §3)                                     *)
 (* ------------------------------------------------------------------ *)
@@ -502,5 +531,7 @@ let () =
          Alcotest.test_case "direct is larger" `Quick test_direct_generator_larger;
          Alcotest.test_case "direct verified" `Quick test_direct_generator_verified;
          Alcotest.test_case "unknown rejected" `Quick test_unknown_generator;
-         Alcotest.test_case "insert custom" `Quick test_insert_generator ]);
+         Alcotest.test_case "insert custom" `Quick test_insert_generator;
+         Alcotest.test_case "wide mutant falls back" `Quick
+           test_wide_mutant_falls_back ]);
       ("fuzz", props) ]

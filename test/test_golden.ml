@@ -4,11 +4,15 @@
    server. Layout generation is deterministic — the CIF text depends
    only on the netlist, the strip count and the port positions — so
    any diff means the generation pipeline changed observable output.
+   lattice_figures.txt pins the sizer and STA figures of the
+   cold-explore lattice, and qm_covers.txt the exact covers the
+   Quine-McCluskey minimizer returns, the same way.
 
    When such a change is intentional, regenerate with
        ICDB_BLESS=1 dune exec test/test_golden.exe
-   (or point ICDB_GOLDEN_DIR at the bench_out directory to bless or
-   compare against a different tree). *)
+   (append [-- test qm] or another group name to bless only that
+   group, or point ICDB_GOLDEN_DIR at the bench_out directory to bless
+   or compare against a different tree). *)
 
 open Icdb
 open Icdb_layout
@@ -206,10 +210,84 @@ let test_lattice () =
       (fun e a -> if e <> a then check Alcotest.string "lattice figures" e a)
       expected actual
 
+
+(* ------------------------------------------------------------------ *)
+(* Quine-McCluskey covers                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Sop = Icdb_logic.Sop
+
+(* Seeded functions of 9-12 variables: unions of random cubes with up
+   to 9 don't-cares plus stray minterms, so primes span several merge
+   levels and overlap. Cubes stop once 700 minterms are reached, which
+   keeps the whole sweep to a few seconds even for a quadratic merge. *)
+let qm_function st nvars =
+  let full = (1 lsl nvars) - 1 in
+  let points = Hashtbl.create 256 in
+  let cubes = 3 + Random.State.int st 10 in
+  let rec add_cubes k =
+    if k < cubes && Hashtbl.length points < 700 then begin
+      let mask = ref 0 in
+      for _ = 1 to 2 + Random.State.int st 8 do
+        mask := !mask lor (1 lsl Random.State.int st nvars)
+      done;
+      let base = Random.State.int st (full + 1) land lnot !mask in
+      (* every sub-mask of [mask] *)
+      let rec subs sub =
+        Hashtbl.replace points (base lor sub) ();
+        if sub <> 0 then subs ((sub - 1) land !mask)
+      in
+      subs !mask;
+      add_cubes (k + 1)
+    end
+  in
+  add_cubes 0;
+  for _ = 1 to Random.State.int st 65 do
+    Hashtbl.replace points (Random.State.int st (full + 1)) ()
+  done;
+  List.sort compare (Hashtbl.fold (fun m () acc -> m :: acc) points [])
+
+(* Seeded dense functions: each point on with probability
+   min(1/2, 700/2^n). *)
+let qm_dense st nvars =
+  let p = Float.min 0.5 (700.0 /. float_of_int (1 lsl nvars)) in
+  List.filter (fun _ -> Random.State.float st 1.0 < p)
+    (List.init (1 lsl nvars) Fun.id)
+
+(* A cube as one character per variable, variable 0 first. *)
+let cube_string nvars (i : Sop.implicant) =
+  String.init nvars (fun v ->
+      if i.Sop.mask land (1 lsl v) <> 0 then '-'
+      else if i.Sop.bits land (1 lsl v) <> 0 then '1'
+      else '0')
+
+let test_qm_covers () =
+  let st = Random.State.make [| 0x9A11 |] in
+  let lines =
+    List.concat_map
+      (fun nvars ->
+        List.init 8 (fun case ->
+            let ms =
+              if case < 6 then qm_function st nvars else qm_dense st nvars
+            in
+            let cover = Sop.minimize (Sop.of_minterms nvars ms) in
+            Printf.sprintf "%d.%d vars=%d minterms=%d fn=%s cover=%s" nvars case
+              nvars (List.length ms)
+              (Digest.to_hex
+                 (Digest.string (String.concat "," (List.map string_of_int ms))))
+              (String.concat " "
+                 (List.map (cube_string nvars) (Sop.cubes cover)))))
+      [ 9; 10; 11; 12 ]
+  in
+  check_golden "qm_covers.txt" (String.concat "\n" lines ^ "\n")
+
 let () =
   Alcotest.run "golden"
     [ ("cif",
        [ Alcotest.test_case "fig9 counters" `Quick test_fig9;
          Alcotest.test_case "fig12 shapes" `Quick test_fig12 ]);
       ("lattice",
-       [ Alcotest.test_case "cold-explore figures" `Quick test_lattice ]) ]
+       [ Alcotest.test_case "cold-explore figures" `Quick test_lattice ]);
+      ("qm",
+       [ Alcotest.test_case "seeded covers, 9-12 variables" `Quick
+           test_qm_covers ]) ]

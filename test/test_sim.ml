@@ -1,5 +1,6 @@
-(* Tests for the four-valued simulator (initialization analysis) and
-   the netlist statistics module. *)
+(* Tests for the simulators — four-valued (initialization analysis),
+   event-driven, and the two-valued pair that verification compares —
+   and for the netlist statistics module. *)
 
 open Icdb_iif
 open Icdb_logic
@@ -295,6 +296,459 @@ let test_event_time_advances () =
   let _ = Event_sim.apply ev (drive_bus "I0" 2 3 @ drive_bus "I1" 2 0 @ [ ("SEL", false) ]) in
   check Alcotest.bool "time moved" true (Event_sim.now ev > t0)
 
+(* ------------------------------------------------------------------ *)
+(* Equivalence checking and two-valued simulator semantics             *)
+(* ------------------------------------------------------------------ *)
+
+(* Replace the first instance of one cell by another. *)
+let mutate_first from_cell to_cell (nl : Netlist.t) =
+  let swapped = ref false in
+  { nl with
+    Netlist.instances =
+      List.map
+        (fun (i : Netlist.instance) ->
+          if (not !swapped) && i.Netlist.cell = from_cell then begin
+            swapped := true;
+            { i with Netlist.cell = to_cell }
+          end
+          else i)
+        nl.Netlist.instances }
+
+let equiv_result =
+  Alcotest.testable
+    (fun fmt r -> Format.pp_print_string fmt (Equiv.result_to_string r))
+    ( = )
+
+(* [names] paired with the 0/1 characters of [bits]. *)
+let assign names bits =
+  List.mapi (fun i n -> (n, bits.[i] = '1')) names
+
+(* A one-gate mutant of a mapped design must fail verification at
+   exactly the step, inputs and outputs recorded here; the adder is
+   enumerated exhaustively, the counter driven by the seeded random
+   sequence through its DFF_SR registers. *)
+let test_equiv_mutants () =
+  let adder = Builtin.expand_exn "ADDER" [ ("size", 4) ] in
+  let counter =
+    Builtin.expand_exn "COUNTER"
+      [ ("size", 4); ("type", 2); ("load", 1); ("enable", 0);
+        ("up_or_down", 1) ]
+  in
+  List.iter
+    (fun (name, (flat : Flat.t), from_cell, to_cell, step, ins, expected, got) ->
+      let nl = synthesize flat in
+      check equiv_result (name ^ " verifies") Equiv.Equivalent
+        (Equiv.check flat nl);
+      let mismatch =
+        Equiv.Mismatch
+          { step;
+            inputs = assign flat.Flat.finputs ins;
+            expected = assign flat.Flat.foutputs expected;
+            got = assign flat.Flat.foutputs got }
+      in
+      check equiv_result
+        (Printf.sprintf "%s with one %s as %s" name from_cell to_cell)
+        mismatch
+        (Equiv.check flat (mutate_first from_cell to_cell nl)))
+    [ ("adder", adder, "XOR2", "XNOR2", 0, "000000000", "00000", "10000");
+      ("adder", adder, "NAND2", "NOR2", 16, "000010000", "10000", "11000");
+      ("counter", counter, "NAND2", "NOR2", 3, "10101111", "001001", "101001");
+      ("counter", counter, "XOR2", "XNOR2", 8, "00001111", "110001", "100001") ]
+
+let inst name cell conns =
+  { Netlist.inst_name = name; cell; size = 1.0; conns }
+
+let netlist ?(inputs = [ "a" ]) ?(outputs = [ "y" ]) name instances =
+  { Netlist.name; inputs; outputs; instances }
+
+let flat ?(inputs = [ "a" ]) ?(outputs = [ "y" ]) name eqs =
+  { Flat.fname = name; finputs = inputs; foutputs = outputs;
+    finternals = []; fequations = eqs }
+
+(* Step a spec and a netlist with the same inputs through [cases]
+   (input bits, expected value of [net]). *)
+let step_both (spec : Flat.t) nl net cases =
+  let i = Interp.create spec and g = Gate_sim.create nl in
+  List.iter
+    (fun (bits, x) ->
+      let vec = assign spec.Flat.finputs bits in
+      Interp.step i vec;
+      Gate_sim.step g vec;
+      check Alcotest.bool ("interp " ^ bits) x (Interp.value i net);
+      check Alcotest.bool ("gate " ^ bits) x (Gate_sim.value g net))
+    cases
+
+let raises_sim_error msg f =
+  match f () with
+  | () -> Alcotest.fail ("expected Sim_error: " ^ msg)
+  | exception Gate_sim.Sim_error m -> check Alcotest.string "Sim_error" msg m
+
+let test_sim_loop_unstable () =
+  let loop = flat "ring" [ Flat.Comb { target = "y"; rhs = Flat.Fnot (Flat.Fnet "y") } ] in
+  (match Interp.step (Interp.create loop) [ ("a", true) ] with
+   | () -> Alcotest.fail "expected Unstable"
+   | exception Interp.Unstable name -> check Alcotest.string "design" "ring" name);
+  let nl = netlist "ring" [ inst "u" "INV" [ ("A", "y"); ("Y", "y") ] ] in
+  raises_sim_error "netlist ring failed to settle" (fun () ->
+      Gate_sim.step (Gate_sim.create nl) [ ("a", true) ])
+
+(* Every driver disabled: the bus keeps the last driven value, even
+   while the disabled drivers' data changes. *)
+let test_sim_bus_keeper () =
+  let inputs = [ "a"; "b"; "ea"; "eb" ] in
+  let spec =
+    flat ~inputs "bus"
+      [ Flat.Comb
+          { target = "y";
+            rhs =
+              Flat.Fwor
+                [ Flat.Ftri { data = Flat.Fnet "a"; enable = Flat.Fnet "ea" };
+                  Flat.Ftri { data = Flat.Fnet "b"; enable = Flat.Fnet "eb" } ] } ]
+  in
+  let nl =
+    netlist ~inputs "bus"
+      [ inst "t1" "TBUF" [ ("A", "a"); ("EN", "ea"); ("Y", "y") ];
+        inst "t2" "TBUF" [ ("A", "b"); ("EN", "eb"); ("Y", "y") ] ]
+  in
+  step_both spec nl "y"
+    [ ("1010", true); ("1000", true); ("0100", true); ("0101", true);
+      ("0001", false); ("1100", false); ("0010", false); ("1110", true);
+      ("0000", true) ]
+
+let test_sim_opaque_latch_holds () =
+  let inputs = [ "d"; "g" ] in
+  let spec =
+    flat ~inputs ~outputs:[ "q" ] "latch"
+      [ Flat.Latch
+          { target = "q"; data = Flat.Fnet "d"; transparent_high = true;
+            gate = Flat.Fnet "g" } ]
+  in
+  let nl =
+    netlist ~inputs ~outputs:[ "q" ] "latch"
+      [ inst "l" "LATCH_H" [ ("D", "d"); ("G", "g"); ("Q", "q") ] ]
+  in
+  step_both spec nl "q"
+    [ ("11", true); ("01", false); ("11", true); ("10", true); ("00", true);
+      ("01", false); ("10", false) ]
+
+let test_sim_step_non_input () =
+  let spec = flat "buf" [ Flat.Comb { target = "y"; rhs = Flat.Fnet "a" } ] in
+  (match Interp.step (Interp.create spec) [ ("a", true); ("y", true) ] with
+   | () -> Alcotest.fail "expected Invalid_argument"
+   | exception Invalid_argument m ->
+       check Alcotest.string "interp" "Interp.step: y is not an input" m);
+  let nl = netlist "buf" [ inst "u" "BUF" [ ("A", "a"); ("Y", "y") ] ] in
+  raises_sim_error "Gate_sim.step: y is not an input of buf" (fun () ->
+      Gate_sim.step (Gate_sim.create nl) [ ("a", true); ("y", true) ])
+
+(* An unconnected input pin is reported when the cell function first
+   reads it: at once for NAND2's first pin, and for its second only
+   when the first is 1, because AND stops at the first 0. *)
+let test_sim_unconnected_pin () =
+  let a_open =
+    netlist "open_a" [ inst "u" "NAND2" [ ("B", "a"); ("Y", "y") ] ]
+  in
+  let g = Gate_sim.create a_open in
+  raises_sim_error "cell NAND2: pin A unconnected" (fun () ->
+      Gate_sim.step g [ ("a", false) ]);
+  let b_open =
+    netlist "open_b" [ inst "u" "NAND2" [ ("A", "a"); ("Y", "y") ] ]
+  in
+  let g = Gate_sim.create b_open in
+  Gate_sim.step g [ ("a", false) ];
+  check Alcotest.bool "NAND2 with A low" true (Gate_sim.value g "y");
+  raises_sim_error "cell NAND2: pin B unconnected" (fun () ->
+      Gate_sim.step g [ ("a", true) ])
+
+(* Which missing pin is reported when several are: at [create] for
+   outputs and sequential pins, at the first evaluation for a
+   combinational cell's inputs (XOR evaluates its B operand first). *)
+let test_sim_missing_pin_reports () =
+  List.iter
+    (fun (cell, conns, expected) ->
+      let nl = netlist "p" [ inst "u" cell conns ] in
+      let got =
+        match Gate_sim.create nl with
+        | exception Invalid_argument m -> "create: " ^ m
+        | exception Gate_sim.Sim_error m -> "create: " ^ m
+        | g -> (
+            match Gate_sim.step g [ ("a", true) ] with
+            | () -> "ok"
+            | exception Gate_sim.Sim_error m -> "step: " ^ m)
+      in
+      check Alcotest.string cell expected got)
+    [ ("XOR2", [ ("Y", "y") ], "step: cell XOR2: pin B unconnected");
+      ("XNOR2", [ ("Y", "y") ], "step: cell XNOR2: pin B unconnected");
+      ("AOI21", [ ("Y", "y") ], "step: cell AOI21: pin A unconnected");
+      ("NAND2", [ ("A", "a"); ("B", "a") ],
+       "create: instance u (NAND2) has no pin Y");
+      ("DFF_SR", [ ("Q", "y") ], "create: instance u (DFF_SR) has no pin R");
+      ("DFF_S", [ ("Q", "y") ], "create: instance u (DFF_S) has no pin S");
+      ("DFF", [ ("Q", "y"); ("D", "a") ], "create: instance u (DFF) has no pin CK");
+      ("DFF", [ ("CK", "a") ], "create: instance u (DFF) has no pin D");
+      ("DFF", [ ("CK", "a"); ("D", "a") ], "create: instance u (DFF) has no pin Q");
+      ("LATCH_H", [ ("Q", "y") ], "create: instance u (LATCH_H) has no pin G");
+      ("LATCH_L", [ ("G", "a") ], "create: instance u (LATCH_L) has no pin D");
+      ("TBUF", [ ("Y", "y") ], "create: instance u (TBUF) has no pin EN");
+      ("TBUF", [ ("Y", "y"); ("EN", "a") ], "create: instance u (TBUF) has no pin A");
+      ("TBUF", [], "create: instance u (TBUF) has no pin Y");
+      ("BOGUS", [], "create: unknown cell BOGUS (instance u)") ]
+
+let test_sim_poke_unknown_net () =
+  let spec = flat "buf" [ Flat.Comb { target = "y"; rhs = Flat.Fnet "a" } ] in
+  let i = Interp.create spec in
+  check Alcotest.bool "interp unknown reads false" false (Interp.value i "ghost");
+  Interp.poke i "ghost" true;
+  check Alcotest.bool "interp poked" true (Interp.value i "ghost");
+  let g =
+    Gate_sim.create (netlist "buf" [ inst "u" "BUF" [ ("A", "a"); ("Y", "y") ] ])
+  in
+  check Alcotest.bool "gate unknown reads false" false (Gate_sim.value g "ghost");
+  Gate_sim.poke g "ghost" true;
+  check Alcotest.bool "gate poked" true (Gate_sim.value g "ghost");
+  Gate_sim.poke g "$const1" false;
+  check Alcotest.bool "$const1 stays 1" true (Gate_sim.value g "$const1")
+
+(* ------------------------------------------------------------------ *)
+(* Differential: the simulators against their hashtable oracles        *)
+(* ------------------------------------------------------------------ *)
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+(* How a step ended, with each implementation's own exception
+   constructors identified. *)
+let outcome f =
+  match f () with
+  | () -> "ok"
+  | exception (Interp.Unstable s | Oracle_interp.Unstable s) -> "Unstable " ^ s
+  | exception (Gate_sim.Sim_error s | Oracle_gate_sim.Sim_error s) ->
+      "Sim_error " ^ s
+  | exception Invalid_argument s -> "Invalid_argument " ^ s
+
+(* Random expression over [early] nets, reaching any of [all] one time
+   in ten so that combinational feedback occurs. *)
+let random_fexpr st ~early ~all depth =
+  let rec go d =
+    let leaf () =
+      match Random.State.int st 12 with
+      | 0 -> Flat.Fconst (Random.State.bool st)
+      | 1 -> Flat.Fnet (pick st all)
+      | _ -> Flat.Fnet (pick st early)
+    in
+    if d = 0 then leaf ()
+    else
+      let many () = List.init (1 + Random.State.int st 3) (fun _ -> go (d - 1)) in
+      match Random.State.int st 12 with
+      | 0 | 1 -> leaf ()
+      | 2 -> Flat.Fnot (go (d - 1))
+      | 3 -> Flat.Fand (many ())
+      | 4 -> Flat.For_ (many ())
+      | 5 -> Flat.Fxor (go (d - 1), go (d - 1))
+      | 6 -> Flat.Fxnor (go (d - 1), go (d - 1))
+      | 7 -> Flat.Fbuf (go (d - 1))
+      | 8 -> Flat.Fschmitt (Flat.Fdelay (go (d - 1), 1.5))
+      | 9 -> Flat.Ftri { data = go (d - 1); enable = go (d - 1) }
+      | _ ->
+          Flat.Fwor
+            (List.init (1 + Random.State.int st 3) (fun _ ->
+                 if Random.State.bool st then
+                   Flat.Ftri { data = go (d - 1); enable = go (d - 1) }
+                 else go (d - 1)))
+  in
+  go depth
+
+(* Combinational nets, tri-state buses, latches and flip-flops with
+   asynchronous conditions, some clocked by other flip-flops. *)
+let random_flat st case =
+  let inputs = List.init (2 + Random.State.int st 4) (Printf.sprintf "i%d") in
+  let nets = List.init (3 + Random.State.int st 8) (Printf.sprintf "n%d") in
+  let all = inputs @ nets in
+  let ffs = ref [] in
+  let eqs =
+    List.mapi
+      (fun k target ->
+        let early = inputs @ List.filteri (fun j _ -> j < k) nets in
+        let ex d = random_fexpr st ~early ~all d in
+        match Random.State.int st 10 with
+        | 0 | 1 ->
+            Flat.Latch
+              { target; data = ex 2; transparent_high = Random.State.bool st;
+                gate = ex 1 }
+        | 2 | 3 ->
+            let clock =
+              match Random.State.int st 3 with
+              | 0 when !ffs <> [] -> Flat.Fnet (pick st !ffs)
+              | 0 | 1 -> Flat.Fnet "i0"
+              | _ -> ex 1
+            in
+            ffs := target :: !ffs;
+            Flat.Ff
+              { target; data = ex 2; rising = Random.State.bool st; clock;
+                asyncs =
+                  List.init (Random.State.int st 3) (fun _ ->
+                      { Flat.value = Random.State.bool st; cond = ex 1 }) }
+        | _ -> Flat.Comb { target; rhs = ex 3 })
+      nets
+  in
+  let outputs = List.filter (fun _ -> Random.State.bool st) nets in
+  { Flat.fname = Printf.sprintf "rand%d" case; finputs = inputs;
+    foutputs = (if outputs = [] then [ List.hd nets ] else outputs);
+    finternals = nets; fequations = eqs }
+
+(* Mapped cells of every kind over earlier nets, reaching any net one
+   time in ten; TBUFs share two bus nets, clock pins read the primary
+   clock or an earlier flip-flop's output, and one comb pin in forty
+   is left unconnected. *)
+let random_netlist st case =
+  let inputs = List.init (2 + Random.State.int st 4) (Printf.sprintf "a%d") in
+  let buses = [ "bus0"; "bus1" ] in
+  let n = 2 + Random.State.int st 14 in
+  let wires = List.init n (Printf.sprintf "w%d") in
+  let all = inputs @ wires @ buses @ [ "$const0"; "$const1" ] in
+  let cells = Array.of_list Celllib.all in
+  let qs = ref [] in
+  let instances =
+    List.init n (fun k ->
+        let cell = cells.(Random.State.int st (Array.length cells)) in
+        let out =
+          if cell.Celllib.kind = Celllib.Tri_cell then pick st buses
+          else List.nth wires k
+        in
+        let early =
+          inputs @ List.filteri (fun j _ -> j < k) wires @ [ "$const0"; "$const1" ]
+        in
+        let source () =
+          if Random.State.int st 10 = 0 then pick st all else pick st early
+        in
+        let conns =
+          List.filter_map
+            (fun p ->
+              if cell.Celllib.kind = Celllib.Comb && Random.State.int st 40 = 0
+              then None
+              else if p = "CK" then
+                Some (p, if !qs <> [] && Random.State.bool st then pick st !qs
+                         else "a0")
+              else Some (p, source ()))
+            cell.Celllib.inputs
+        in
+        (match cell.Celllib.kind with Celllib.Ff _ -> qs := out :: !qs | _ -> ());
+        inst (Printf.sprintf "u%d" k) cell.Celllib.cname
+          ((cell.Celllib.output, out) :: conns))
+  in
+  let outputs = List.filter (fun _ -> Random.State.bool st) (wires @ buses) in
+  netlist ~inputs ~outputs:(if outputs = [] then [ "w0" ] else outputs)
+    (Printf.sprintf "rand%d" case) instances
+
+(* An outcome's first word, two for a Sim_error: which check raised. *)
+let outcome_kind o =
+  match String.split_on_char ' ' o with
+  | "Sim_error" :: w :: _ -> "Sim_error " ^ w
+  | w :: _ -> w
+  | [] -> o
+
+(* One simulator instance, so that a compiled simulator and its oracle
+   are driven by the same code. *)
+type sim = {
+  step : (string * bool) list -> unit;
+  poke : string -> bool -> unit;
+  value : string -> bool;
+  outputs : unit -> (string * bool) list;
+}
+
+(* Drive both simulators with the same random steps — now and then a
+   non-input name mid-vector or a poke — and require the same outcome,
+   outputs and net values after every step. *)
+let run_differential st ~seen ~label ~inputs ~nets ~steps sim oracle =
+  let probe = "ghost" :: nets in
+  for s = 1 to steps do
+    let vec =
+      List.filter_map
+        (fun n ->
+          if Random.State.int st 3 = 0 then None
+          else Some (n, Random.State.bool st))
+        inputs
+    in
+    let vec =
+      if Random.State.int st 25 = 0 then vec @ [ (pick st probe, true) ] @ vec
+      else vec
+    in
+    if Random.State.int st 20 = 0 then begin
+      let n = pick st probe and v = Random.State.bool st in
+      sim.poke n v;
+      oracle.poke n v
+    end;
+    let got = outcome (fun () -> sim.step vec) in
+    let expected = outcome (fun () -> oracle.step vec) in
+    Hashtbl.replace seen (outcome_kind expected) ();
+    let at = Printf.sprintf "%s step %d" label s in
+    check Alcotest.string (at ^ " outcome") expected got;
+    check Alcotest.(list (pair string bool)) (at ^ " outputs") (oracle.outputs ())
+      (sim.outputs ());
+    List.iter
+      (fun n -> check Alcotest.bool (at ^ " " ^ n) (oracle.value n) (sim.value n))
+      probe
+  done
+
+let diff_interp ?(seen = Hashtbl.create 1) st label (flat : Flat.t) steps =
+  let i = Interp.create flat and o = Oracle_interp.create flat in
+  run_differential st ~seen ~label ~inputs:flat.Flat.finputs
+    ~nets:(Flat.all_nets flat) ~steps
+    { step = Interp.step i; poke = Interp.poke i; value = Interp.value i;
+      outputs = (fun () -> Interp.outputs i) }
+    { step = Oracle_interp.step o; poke = Oracle_interp.poke o;
+      value = Oracle_interp.value o; outputs = (fun () -> Oracle_interp.outputs o) }
+
+let diff_gate ?(seen = Hashtbl.create 1) st label (nl : Netlist.t) steps =
+  let g = Gate_sim.create nl and o = Oracle_gate_sim.create nl in
+  run_differential st ~seen ~label ~inputs:nl.Netlist.inputs
+    ~nets:("$const0" :: "$const1" :: Netlist.nets nl) ~steps
+    { step = Gate_sim.step g; poke = Gate_sim.poke g; value = Gate_sim.value g;
+      outputs = (fun () -> Gate_sim.outputs g) }
+    { step = Oracle_gate_sim.step o; poke = Oracle_gate_sim.poke o;
+      value = Oracle_gate_sim.value o;
+      outputs = (fun () -> Oracle_gate_sim.outputs o) }
+
+(* The sweep must reach every way a step can end. *)
+let check_kinds seen expected =
+  check Alcotest.(list string) "outcomes reached" expected
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []))
+
+let test_diff_random_flats () =
+  let st = Random.State.make [| 0xF1A7 |] in
+  let seen = Hashtbl.create 8 in
+  for case = 1 to 400 do
+    diff_interp ~seen st (Printf.sprintf "flat %d" case) (random_flat st case) 30
+  done;
+  check_kinds seen [ "Invalid_argument"; "Unstable"; "ok" ]
+
+let test_diff_random_netlists () =
+  let st = Random.State.make [| 0x6A7E |] in
+  let seen = Hashtbl.create 8 in
+  for case = 1 to 400 do
+    diff_gate ~seen st (Printf.sprintf "netlist %d" case)
+      (random_netlist st case) 30
+  done;
+  check_kinds seen
+    [ "Sim_error Gate_sim.step:"; "Sim_error cell"; "Sim_error netlist"; "ok" ]
+
+(* Catalogue designs and their mapped netlists, sequential and
+   combinational. *)
+let test_diff_components () =
+  let st = Random.State.make [| 0xC0DE |] in
+  List.iter
+    (fun (name, params) ->
+      let flat = Builtin.expand_exn name params in
+      diff_interp st name flat 60;
+      diff_gate st name (synthesize flat) 60)
+    [ ("COUNTER", [ ("size", 4); ("type", 2); ("load", 1); ("enable", 1);
+                    ("up_or_down", 3) ]);
+      ("COUNTER", [ ("size", 3); ("type", 1); ("load", 0); ("enable", 0);
+                    ("up_or_down", 1) ]);
+      ("ADDER", [ ("size", 4) ]);
+      ("COMPARATOR", [ ("size", 3) ]);
+      ("SHIFT_REGISTER", [ ("size", 4) ]);
+      ("REGISTER_FILE", [ ("size", 2); ("abits", 2) ]) ]
+
 let () =
   Alcotest.run "sim4+stats"
     [ ("xsim",
@@ -318,6 +772,21 @@ let () =
          Alcotest.test_case "counts glitches" `Quick test_event_counts_glitches;
          Alcotest.test_case "counter clocks" `Quick test_event_counter_clocks;
          Alcotest.test_case "time advances" `Quick test_event_time_advances ]);
+      ("two-valued",
+       [ Alcotest.test_case "mutants mismatch" `Quick test_equiv_mutants;
+         Alcotest.test_case "loop unstable" `Quick test_sim_loop_unstable;
+         Alcotest.test_case "bus keeper" `Quick test_sim_bus_keeper;
+         Alcotest.test_case "opaque latch holds" `Quick
+           test_sim_opaque_latch_holds;
+         Alcotest.test_case "step non-input" `Quick test_sim_step_non_input;
+         Alcotest.test_case "unconnected pin" `Quick test_sim_unconnected_pin;
+         Alcotest.test_case "missing pin reports" `Quick
+           test_sim_missing_pin_reports;
+         Alcotest.test_case "poke unknown net" `Quick test_sim_poke_unknown_net ]);
+      ("differential",
+       [ Alcotest.test_case "random flat designs" `Quick test_diff_random_flats;
+         Alcotest.test_case "random netlists" `Quick test_diff_random_netlists;
+         Alcotest.test_case "catalogue designs" `Quick test_diff_components ]);
       ("stats",
        [ Alcotest.test_case "adder depth grows" `Quick test_stats_adder_depth_grows;
          Alcotest.test_case "counter sequential" `Quick
