@@ -1388,8 +1388,9 @@ let telemetry_bench () =
 (* The replication plane's two operational numbers: how fast a fresh
    follower drains a backlog (records/s through subscribe, stream and
    replay), and how long a single committed write takes to become
-   visible on a caught-up follower (bounded from below by the
-   publisher's 50 ms poll). Lands bench_out/BENCH_repl.json.
+   visible on a caught-up follower (the publisher is woken by the
+   write's release of the server lock, so this is the stream's own
+   latency). Lands bench_out/BENCH_repl.json.
    ICDB_SMOKE=1 shrinks the backlog. *)
 let repl_bench () =
   header "E20 / repl: follower catch-up throughput and propagation lag";

@@ -412,12 +412,19 @@ let generator_of t spec =
       | Some g -> g
       | None -> fail "unknown component generator %s" name)
 
+(* A netlist (or specification) that does not settle, or that leaves a
+   pin unconnected, fails verification like a mismatch does, so the
+   request falls back instead of raising the simulator's exception. *)
 let verify_instance flat netlist =
   match Icdb_sim.Equiv.check ~steps:120 flat netlist with
   | Icdb_sim.Equiv.Equivalent -> ()
   | m ->
       fail "generated netlist does not match its IIF specification: %s"
         (Icdb_sim.Equiv.result_to_string m)
+  | exception Icdb_sim.Gate_sim.Sim_error msg ->
+      fail "generated netlist cannot be simulated: %s" msg
+  | exception Icdb_iif.Interp.Unstable name ->
+      fail "IIF specification %s does not settle" name
 
 (* The preferred generator first, then every other registered one in a
    deterministic order — the fallback chain for graceful degradation. *)

@@ -103,7 +103,9 @@ type conn = {
    backpressure: the publisher never blocks on a socket, a dedicated
    sender thread per follower feeds the connection's write queue at the
    high-water mark, and a follower whose queue grows past
-   [repl_max_lag] records is shed. *)
+   [repl_max_lag] records is shed. A follower the batch cap leaves
+   behind ([fl_behind]) gets its next batch when its sender has drained
+   the queue, so a long catch-up goes at the follower's own pace. *)
 type follower = {
   fl_conn : conn;
   fl_rid : int;                (* subscribe request id, echoed on pushes *)
@@ -117,6 +119,10 @@ type follower = {
   mutable fl_reason : string;  (* why, for the courtesy Repl_error *)
   mutable fl_dead_at : float;
   mutable fl_last_sent : float;  (* heartbeat pacing *)
+  mutable fl_behind : bool;      (* capped batch queued, more to ship
+                                    once it drains; under [fl_qlock] *)
+  mutable fl_retry_at : float;   (* a failed stream retries at this
+                                    instant; infinity when none *)
 }
 
 type task = {
@@ -163,6 +169,20 @@ type t = {
   rlock : Mutex.t;        (* guards [followers] *)
   mutable followers : follower list;
   mutable publisher : Thread.t option;
+  (* The publisher's own self-pipe. It parks in poll(2) on [pub_r] with
+     a timeout only for the nearest clock deadline; a commit or a
+     subscribe writes a byte after recording the commit cursor it
+     announces in [pub_commit] / [pub_subscribe] (-1: none pending). *)
+  pub_r : Unix.file_descr;
+  pub_w : Unix.file_descr;
+  pub_commit : int Atomic.t;
+  pub_subscribe : int Atomic.t;
+  pub_drain : bool Atomic.t;     (* a behind follower's queue drained *)
+  pub_signalled : int Atomic.t;  (* highest cursor a wake has carried *)
+  (* The journal followers stream from; [None] while no follower is
+     subscribed, which is what keeps a follower-less primary from doing
+     any replication work per request. *)
+  repl_journal : Icdb_reldb.Journal.t option Atomic.t;
   ctr : counters;
   h_queue_wait : Metrics.histogram;
   h_request : Metrics.histogram;    (* all-command service time *)
@@ -208,16 +228,44 @@ let c_followers_shed = Metrics.counter "repl.followers_shed"
 let c_checkpoints_sent = Metrics.counter "repl.checkpoints_sent"
 let c_readonly_rejected = Metrics.counter "repl.readonly_rejected"
 
+(* Why the publisher woke: a commit or a subscribe announced a new
+   commit cursor, a clock deadline passed (a heartbeat, a shed
+   follower's grace), a failed stream's retry came due, or a follower
+   left behind by the batch cap drained its queue. *)
+let c_wake_commit = Metrics.counter "repl.wake.commit"
+let c_wake_subscribe = Metrics.counter "repl.wake.subscribe"
+let c_wake_timer = Metrics.counter "repl.wake.timer"
+let c_wake_retry = Metrics.counter "repl.wake.retry"
+let c_wake_drain = Metrics.counter "repl.wake.drain"
+
+(* The commit cursor the publisher ships up to, and the lowest cursor
+   shipped to any follower: a write is on every follower's wire once
+   the second passes it. *)
+let g_commit_cursor = Metrics.gauge "repl.commit_cursor"
+let g_min_shipped = Metrics.gauge "repl.min_shipped_cursor"
+
 let g_connections = Metrics.gauge "net.connections"
 
 (* ------------------------------------------------------------------ *)
 (* Connection plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let wake t =
-  try ignore (Unix.write_substring t.wake_w "w" 0 1)
+let wake_pipe fd =
+  try ignore (Unix.write_substring fd "w" 0 1)
   with Unix.Unix_error _ | Sys_error _ -> ()
-  (* EAGAIN = pipe already full of wakeups: the loop is waking anyway *)
+  (* EAGAIN = pipe already full of wakeups: the reader is waking anyway *)
+
+let wake t = wake_pipe t.wake_w
+let wake_publisher t = wake_pipe t.pub_w
+
+let drain_pipe fd buf =
+  let rec go () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | _ -> go ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
 
 (* Queue pre-encoded bytes on the connection and nudge the loop; the
    loop does the actual write when the socket is ready. Queueing to a
@@ -448,7 +496,7 @@ let cql_metric_name text =
   | exception Icdb_cql.Command.Cql_error _ -> "net.cql.invalid"
 
 let stats_payload t =
-  let st = Sync.with_server t.sync Icdb.Server.stats in
+  let st = Sync.with_server ~notify:false t.sync Icdb.Server.stats in
   let sp_text =
     Printf.sprintf
       "server cache: %d hits, %d reuse hits, %d misses, %d evictions, %d \
@@ -516,7 +564,7 @@ type exec_info = {
    flip is safe because it happens under the server lock, which is
    where all span traffic lives (see sync.mli). *)
 let with_request_trace t ~tag ~attrs info f =
-  Sync.with_server t.sync (fun server ->
+  Sync.with_server ~notify:false t.sync (fun server ->
       let saved = Trace.enabled () in
       if tag <> "" then Trace.set_enabled true;
       Fun.protect
@@ -627,7 +675,9 @@ let execute t conn (frame : Wire.req Wire.frame) (ctx : Wire.ctx) ~deadline
   | Wire.Stats -> Wire.Stats_report (stats_payload t)
   | Wire.Trace_fetch want ->
       (* the ring is only consistent under the server lock *)
-      let spans = Sync.with_server t.sync (fun _ -> Trace.tagged want) in
+      let spans =
+        Sync.with_server ~notify:false t.sync (fun _ -> Trace.tagged want)
+      in
       Wire.Spans (List.map remote_of_span spans)
   | Wire.Shutdown ->
       Event.info "net: shutdown requested by %s" conn.peer;
@@ -743,6 +793,37 @@ let record_slow t ~cmd ~info ~conn ~seconds =
 let snapshot_name = "icdb.snapshot"
 let chunk_bytes = 1 lsl 20
 
+(* The clock deadlines the publisher keeps: a follower that got nothing
+   for [heartbeat_s] gets an empty batch; a shed follower whose socket
+   lingers is forced shut after [shed_grace_s]; a failed stream is
+   retried after [retry_s]. Nothing else is timed: records ship when a
+   wake announces them. *)
+let heartbeat_s = 1.0
+let shed_grace_s = 5.0
+let retry_s = 0.05
+
+(* Raise [a] to at least [v]. *)
+let rec atomic_max a v =
+  let cur = Atomic.get a in
+  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
+
+(* The commit wake, sent after a request's reply is queued (waking the
+   publisher earlier slows the ack: it competes with the reply for the
+   runtime) and, through the {!Sync} release hook, whenever a caller
+   outside the request path releases the server lock. Costs one atomic
+   read while no follower is subscribed, and wakes nothing when the
+   commit cursor has not moved. *)
+let signal_commit t =
+  match Atomic.get t.repl_journal with
+  | None -> ()
+  | Some j ->
+      let c = Icdb_reldb.Journal.committed j in
+      if c > Atomic.get t.pub_signalled then begin
+        atomic_max t.pub_signalled c;
+        atomic_max t.pub_commit c;
+        wake_publisher t
+      end
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -797,7 +878,13 @@ let sender_loop t fl =
         Some bytes
       end
     in
+    let drained = fl.fl_behind && Queue.is_empty fl.fl_frames in
+    if drained then fl.fl_behind <- false;
     Mutex.unlock fl.fl_qlock;
+    if drained then begin
+      Atomic.set t.pub_drain true;
+      wake_publisher t
+    end;
     match item with
     | Some bytes when fl.fl_conn.alive && not fl.fl_dead ->
         let rec throttle () =
@@ -816,7 +903,9 @@ let sender_loop t fl =
   loop ();
   if fl.fl_dead && fl.fl_conn.alive then
     send_resp t fl.fl_conn fl.fl_rid (Wire.Repl_error fl.fl_reason);
-  mark_dead t fl.fl_conn
+  mark_dead t fl.fl_conn;
+  (* let the publisher drop the follower from its list *)
+  wake_publisher t
 
 (* The subscribe handshake, run on the worker that picked the frame up.
    Under the server lock, decide whether the follower's cursor is still
@@ -829,7 +918,7 @@ let handle_subscribe t conn rid cursor =
       (Wire.Repl_error "this node is a follower; subscribe to the primary")
   else begin
     let plan =
-      Sync.with_server t.sync (fun server ->
+      Sync.with_server ~notify:false t.sync (fun server ->
           if not (Icdb.Server.durable server) then
             Error "primary is not durable: start it with --durable"
           else
@@ -838,7 +927,7 @@ let handle_subscribe t conn rid cursor =
             | Some j ->
                 let base = Icdb_reldb.Journal.base_seq j in
                 let next = Icdb_reldb.Journal.next_seq j in
-                if cursor >= base && cursor <= next then Ok (`Stream cursor)
+                if cursor >= base && cursor <= next then Ok (j, `Stream cursor)
                 else begin
                   (* absorb the journal so the window starts exactly at
                      the cursor the checkpoint is handed out with *)
@@ -853,12 +942,12 @@ let handle_subscribe t conn rid cursor =
                         | exception Sys_error _ -> None)
                       (checkpoint_files ws)
                   in
-                  Ok (`Checkpoint (c, files))
+                  Ok (j, `Checkpoint (c, files))
                 end)
     in
     match plan with
     | Error msg -> send_resp t conn rid (Wire.Repl_error msg)
-    | Ok plan ->
+    | Ok (j, plan) ->
         conn.follower <- true;
         let start_cursor =
           match plan with
@@ -910,126 +999,234 @@ let handle_subscribe t conn rid cursor =
             fl_dead = false;
             fl_reason = "";
             fl_dead_at = 0.0;
-            fl_last_sent = 0.0 }
+            fl_last_sent = 0.0;
+            fl_behind = false;
+            fl_retry_at = infinity }
         in
         fl.fl_sender <- Some (Thread.create (sender_loop t) fl);
         Mutex.lock t.rlock;
         t.followers <- fl :: t.followers;
+        Atomic.set t.repl_journal (Some j);
         Metrics.set g_followers (float_of_int (List.length t.followers));
-        Mutex.unlock t.rlock
-  end
-
-(* One publisher tick for one follower: stream the next batch of journal
-   records (plus the workspace files they depend on) into its queue, or
-   shed it. Empty batches are heartbeats, paced at 1 Hz, carrying the
-   primary's [next_seq] so the follower can measure its lag. *)
-let publish_one t fl =
-  if (not fl.fl_dead) && fl.fl_conn.alive then begin
-    let queued, frames =
-      Mutex.lock fl.fl_qlock;
-      let q = (fl.fl_queued, Queue.length fl.fl_frames) in
-      Mutex.unlock fl.fl_qlock;
-      q
-    in
-    if queued > t.cfg.repl_max_lag || frames > 512 then
-      shed_follower fl
-        (Printf.sprintf
-           "follower lag exceeded %d records; re-sync from a checkpoint"
-           t.cfg.repl_max_lag)
-    else
-      match
-        Sync.with_server t.sync (fun server ->
-            match Icdb_reldb.Db.journal (Icdb.Server.db server) with
-            | None -> `Gone
-            | Some j ->
-                let base = Icdb_reldb.Journal.base_seq j in
-                let next = Icdb_reldb.Journal.next_seq j in
-                if fl.fl_cursor < base || fl.fl_cursor > next then `Stale
-                else begin
-                  let s =
-                    Icdb_reldb.Journal.stream_from j ~seq:fl.fl_cursor
-                      ~max_records:t.cfg.repl_batch ()
-                  in
-                  let records =
-                    List.map Icdb_reldb.Journal.encode_line
-                      s.Icdb_reldb.Journal.st_entries
-                  in
-                  let ws = Icdb.Server.workspace server in
-                  let files =
-                    List.concat_map Icdb.Server.replication_files
-                      s.Icdb_reldb.Journal.st_entries
-                    |> List.sort_uniq compare
-                    |> List.filter_map (fun name ->
-                           match read_file (Filename.concat ws name) with
-                           | data -> Some (name, data)
-                           | exception Sys_error _ -> None)
-                  in
-                  `Batch (records, files, next)
-                end)
-      with
-      | exception e ->
-          (* the journal_stream fault site or an I/O hiccup: the cursor
-             has not moved, so just retry on the next poll *)
-          Event.warn "repl: journal stream failed: %s" (Printexc.to_string e)
-      | `Gone -> shed_follower fl "primary journal detached"
-      | `Stale ->
-          shed_follower fl
-            "cursor left the journal window (a checkpoint truncated it); \
-             reconnect for a fresh checkpoint"
-      | `Batch (records, files, jnext) ->
-          let n = List.length records in
-          if n > 0 || now () -. fl.fl_last_sent >= 1.0 then begin
-            let bytes =
-              Wire.encode_response
-                { id = fl.fl_rid;
-                  body =
-                    Wire.Journal_batch
-                      { jb_first = fl.fl_cursor;
-                        jb_next = jnext;
-                        jb_records = records;
-                        jb_files = files } }
-            in
-            Mutex.lock fl.fl_qlock;
-            Queue.push (bytes, n) fl.fl_frames;
-            fl.fl_queued <- fl.fl_queued + n;
-            Condition.signal fl.fl_qcond;
-            Mutex.unlock fl.fl_qlock;
-            fl.fl_cursor <- fl.fl_cursor + n;
-            fl.fl_last_sent <- now ();
-            Metrics.incr c_batches_sent;
-            if n > 0 then Metrics.incr ~by:n c_records_sent
-          end
-  end
-
-let publisher_loop t =
-  let rec loop () =
-    if not (Atomic.get t.want_stop) then begin
-      let fls =
-        Mutex.lock t.rlock;
-        let l = t.followers in
         Mutex.unlock t.rlock;
-        l
-      in
-      List.iter (publish_one t) fls;
-      (* a shed follower that lingers (its courtesy frame undeliverable)
-         gets its socket forced shut after a grace period; closed
-         connections drop out of the registry *)
-      List.iter
-        (fun fl ->
-          if fl.fl_dead && fl.fl_conn.alive && now () -. fl.fl_dead_at > 5.0
-          then
-            try Unix.shutdown fl.fl_conn.fd Unix.SHUTDOWN_ALL
-            with Unix.Unix_error _ -> ())
-        fls;
-      Mutex.lock t.rlock;
-      t.followers <- List.filter (fun fl -> fl.fl_conn.alive) t.followers;
-      Metrics.set g_followers (float_of_int (List.length t.followers));
-      Mutex.unlock t.rlock;
-      Thread.delay 0.05;
-      loop ()
-    end
+        (* read the cursor only now that commits can see the journal: a
+           commit that found no journal to signal lies below it *)
+        let c = Icdb_reldb.Journal.committed j in
+        atomic_max t.pub_signalled c;
+        atomic_max t.pub_subscribe c;
+        wake_publisher t
+  end
+
+(* Queue one batch frame on [fl]'s sender. [behind] says the batch cap
+   left records below the commit cursor; a heartbeat leaves it as is. *)
+let push_batch fl ~records ~files ~jnext ~behind =
+  let n = List.length records in
+  let bytes =
+    Wire.encode_response
+      { id = fl.fl_rid;
+        body =
+          Wire.Journal_batch
+            { jb_first = fl.fl_cursor;
+              jb_next = jnext;
+              jb_records = records;
+              jb_files = files } }
   in
-  loop ()
+  Mutex.lock fl.fl_qlock;
+  Queue.push (bytes, n) fl.fl_frames;
+  fl.fl_queued <- fl.fl_queued + n;
+  (match behind with Some b -> fl.fl_behind <- b | None -> ());
+  Condition.signal fl.fl_qcond;
+  Mutex.unlock fl.fl_qlock;
+  fl.fl_cursor <- fl.fl_cursor + n;
+  fl.fl_last_sent <- now ();
+  Metrics.incr c_batches_sent;
+  if n > 0 then Metrics.incr ~by:n c_records_sent
+
+(* Ship [fl] its records below [bound], at most one batch of them, with
+   the workspace files they depend on. A failed or torn read keeps the
+   cursor and schedules a retry. *)
+let ship_records t fl ~bound =
+  match
+    Sync.with_server ~notify:false t.sync (fun server ->
+        match Icdb_reldb.Db.journal (Icdb.Server.db server) with
+        | None -> `Gone
+        | Some j ->
+            let base = Icdb_reldb.Journal.base_seq j in
+            let next = Icdb_reldb.Journal.next_seq j in
+            if fl.fl_cursor < base || fl.fl_cursor > next then `Stale
+            else begin
+              let want = min t.cfg.repl_batch (bound - fl.fl_cursor) in
+              let s =
+                Icdb_reldb.Journal.stream_from j ~seq:fl.fl_cursor
+                  ~max_records:want ()
+              in
+              let records =
+                List.map Icdb_reldb.Journal.encode_line
+                  s.Icdb_reldb.Journal.st_entries
+              in
+              let ws = Icdb.Server.workspace server in
+              let files =
+                List.concat_map Icdb.Server.replication_files
+                  s.Icdb_reldb.Journal.st_entries
+                |> List.sort_uniq compare
+                |> List.filter_map (fun name ->
+                       match read_file (Filename.concat ws name) with
+                       | data -> Some (name, data)
+                       | exception Sys_error _ -> None)
+              in
+              `Batch (records, files, want, Icdb_reldb.Journal.committed j)
+            end)
+  with
+  | exception e ->
+      (* the journal_stream fault site or an I/O hiccup: the cursor has
+         not moved *)
+      fl.fl_retry_at <- now () +. retry_s;
+      Event.warn "repl: journal stream failed: %s" (Printexc.to_string e)
+  | `Gone -> shed_follower fl "primary journal detached"
+  | `Stale ->
+      shed_follower fl
+        "cursor left the journal window (a checkpoint truncated it); \
+         reconnect for a fresh checkpoint"
+  | `Batch (records, files, want, jnext) ->
+      let n = List.length records in
+      fl.fl_retry_at <- (if n < want then now () +. retry_s else infinity);
+      push_batch fl ~records ~files ~jnext
+        ~behind:(Some (n = want && fl.fl_cursor + n < bound))
+
+(* Serve one live follower in a publisher pass: records when it is
+   behind [bound] and not waiting on a drain or a retry (or its retry
+   came due), else a heartbeat when it got nothing for [heartbeat_s],
+   which carries the commit cursor so the follower can measure its lag.
+   A follower whose queue grew past its bounds is shed instead. *)
+let serve_follower t fl ~bound ~tnow =
+  let queued, frames, behind =
+    Mutex.lock fl.fl_qlock;
+    let q = (fl.fl_queued, Queue.length fl.fl_frames, fl.fl_behind) in
+    Mutex.unlock fl.fl_qlock;
+    q
+  in
+  let retry_due = fl.fl_retry_at <= tnow in
+  let records_due =
+    retry_due
+    || (fl.fl_retry_at = infinity && (not behind) && fl.fl_cursor < bound)
+  in
+  if not (records_due || tnow -. fl.fl_last_sent >= heartbeat_s) then `Idle
+  else if queued > t.cfg.repl_max_lag || frames > 512 then begin
+    shed_follower fl
+      (Printf.sprintf
+         "follower lag exceeded %d records; re-sync from a checkpoint"
+         t.cfg.repl_max_lag);
+    `Idle
+  end
+  else if records_due then begin
+    ship_records t fl ~bound;
+    if retry_due then `Retry else `Records
+  end
+  else begin
+    let jnext =
+      match Atomic.get t.repl_journal with
+      | Some j -> Icdb_reldb.Journal.committed j
+      | None -> fl.fl_cursor
+    in
+    push_batch fl ~records:[] ~files:[] ~jnext ~behind:None;
+    `Heartbeat
+  end
+
+let followers_snapshot t =
+  Mutex.lock t.rlock;
+  let l = t.followers in
+  Mutex.unlock t.rlock;
+  l
+
+(* The nearest clock deadline over the followers: a heartbeat, a retry,
+   or a shed follower's grace. *)
+let next_deadline fls =
+  List.fold_left
+    (fun acc fl ->
+      if not fl.fl_conn.alive then acc
+      else if fl.fl_dead then Float.min acc (fl.fl_dead_at +. shed_grace_s)
+      else
+        Float.min acc
+          (Float.min fl.fl_retry_at (fl.fl_last_sent +. heartbeat_s)))
+    infinity fls
+
+(* One pass over the followers after a wake, then the registry sweep:
+   closed connections drop out (their senders are woken to exit), and
+   the journal handle goes once the last follower has. *)
+let publish_pass t ~bound =
+  let fls = followers_snapshot t in
+  let tnow = now () in
+  let retried = ref false and timed = ref false in
+  List.iter
+    (fun fl ->
+      if fl.fl_dead then begin
+        (* a shed follower that lingers (its courtesy frame
+           undeliverable) gets its socket forced shut, once *)
+        if fl.fl_conn.alive && tnow -. fl.fl_dead_at > shed_grace_s then begin
+          timed := true;
+          fl.fl_dead_at <- infinity;
+          try Unix.shutdown fl.fl_conn.fd Unix.SHUTDOWN_ALL
+          with Unix.Unix_error _ -> ()
+        end
+      end
+      else if fl.fl_conn.alive then
+        match serve_follower t fl ~bound ~tnow with
+        | `Retry -> retried := true
+        | `Heartbeat -> timed := true
+        | `Records | `Idle -> ())
+    fls;
+  if !retried then Metrics.incr c_wake_retry;
+  if !timed then Metrics.incr c_wake_timer;
+  Mutex.lock t.rlock;
+  let live, gone = List.partition (fun fl -> fl.fl_conn.alive) t.followers in
+  t.followers <- live;
+  if live = [] then Atomic.set t.repl_journal None;
+  Metrics.set g_followers (float_of_int (List.length t.followers));
+  Metrics.set g_commit_cursor (float_of_int (max 0 bound));
+  Metrics.set g_min_shipped
+    (float_of_int
+       (List.fold_left (fun acc fl -> min acc fl.fl_cursor) (max 0 bound)
+          live));
+  Mutex.unlock t.rlock;
+  (* a follower whose connection died while its sender sat on an empty
+     queue: wake the sender so its thread exits *)
+  List.iter
+    (fun fl ->
+      Mutex.lock fl.fl_qlock;
+      Condition.broadcast fl.fl_qcond;
+      Mutex.unlock fl.fl_qlock)
+    gone
+
+(* The publisher parks on its self-pipe until a wake or the nearest
+   clock deadline; it has no poll period. Records ship only below
+   [bound], the highest commit cursor a commit or subscribe wake has
+   carried, so each records batch belongs to the wake that made it due:
+   a heartbeat coming due at the same instant ships none of them. *)
+let publisher_loop t =
+  let spec = [| Evpoll.fd_int t.pub_r; Evpoll.rd |] in
+  let buf = Bytes.create 64 in
+  let bound = ref (-1) in
+  while not (Atomic.get t.want_stop) do
+    let deadline = next_deadline (followers_snapshot t) in
+    let timeout_ms =
+      if deadline = infinity then -1
+      else max 0 (int_of_float (Float.ceil ((deadline -. now ()) *. 1e3)))
+    in
+    (* a failed poll(2) (EINTR is absorbed) just ends the wait early *)
+    (try ignore (Evpoll.poll spec 1 timeout_ms) with Failure _ -> ());
+    (* drain before reading the causes: a wake recorded after this
+       leaves its byte for the next poll *)
+    drain_pipe t.pub_r buf;
+    if not (Atomic.get t.want_stop) then begin
+      let commit = Atomic.exchange t.pub_commit (-1) in
+      let subscribe = Atomic.exchange t.pub_subscribe (-1) in
+      if commit >= 0 then Metrics.incr c_wake_commit;
+      if subscribe >= 0 then Metrics.incr c_wake_subscribe;
+      if Atomic.exchange t.pub_drain false then Metrics.incr c_wake_drain;
+      bound := max !bound (max commit subscribe);
+      publish_pass t ~bound:!bound
+    end
+  done
 
 let handle_task t task =
   let conn = task.tconn and frame = task.tframe and ctx = task.tctx in
@@ -1084,7 +1281,8 @@ let handle_task t task =
     (match resp with
      | Wire.Error _ -> Metrics.incr t.ctr.c_errors
      | _ -> ());
-    send_resp t conn frame.Wire.id resp
+    send_resp t conn frame.Wire.id resp;
+    signal_commit t
   end
 
 (* Workers drain the queue completely before exiting, which is what
@@ -1281,18 +1479,6 @@ let rec accept_burst t =
       admit t fd peer;
       accept_burst t
 
-let drain_wake t buf =
-  let rec go () =
-    match Unix.read t.wake_r buf 0 (Bytes.length buf) with
-    | 0 -> ()
-    | _ -> go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
-
 let idle_scan t =
   List.iter
     (fun conn ->
@@ -1323,9 +1509,16 @@ let teardown t =
   Condition.broadcast t.qcond;
   Mutex.unlock t.qlock;
   List.iter Thread.join t.worker_threads;
-  (* retire the replication plane: the publisher exits on the stop
-     flag, then every sender is woken with its follower marked dead *)
-  (match t.publisher with Some th -> Thread.join th | None -> ());
+  (* retire the replication plane: the publisher wakes and exits on the
+     stop flag, then every sender is woken with its follower marked
+     dead *)
+  (match t.publisher with
+   | Some th ->
+       wake_publisher t;
+       Thread.join th;
+       Sync.set_on_release t.sync ignore;
+       Atomic.set t.repl_journal None
+   | None -> ());
   let fls =
     Mutex.lock t.rlock;
     let l = t.followers in
@@ -1384,8 +1577,9 @@ let teardown t =
        Series.stop s;
        t.sampler <- None
    | None -> ());
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ t.wake_r; t.wake_w; t.pub_r; t.pub_w ];
   Event.info "net: service stopped"
 
 (* The loop: one poll(2) over the wake pipe, the listen socket, and
@@ -1453,7 +1647,7 @@ let event_loop t =
      | res ->
          let t_disp = now () in
          Metrics.observe t.h_poll_wait (t_disp -. t_poll);
-         if res.(0) land Evpoll.rd <> 0 then drain_wake t wakebuf;
+         if res.(0) land Evpoll.rd <> 0 then drain_pipe t.wake_r wakebuf;
          if (not (Atomic.get t.want_stop)) && res.(1) land Evpoll.rd <> 0 then
            accept_burst t;
          Array.iteri
@@ -1658,9 +1852,14 @@ let start ?(config = default_config) sync =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> config.port
   in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
+  let self_pipe () =
+    let r, w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock r;
+    Unix.set_nonblock w;
+    (r, w)
+  in
+  let wake_r, wake_w = self_pipe () in
+  let pub_r, pub_w = self_pipe () in
   let t =
     { cfg = config;
       sync;
@@ -1680,6 +1879,13 @@ let start ?(config = default_config) sync =
       rlock = Mutex.create ();
       followers = [];
       publisher = None;
+      pub_r;
+      pub_w;
+      pub_commit = Atomic.make (-1);
+      pub_subscribe = Atomic.make (-1);
+      pub_drain = Atomic.make false;
+      pub_signalled = Atomic.make (-1);
+      repl_journal = Atomic.make None;
       ctr = counters ();
       h_queue_wait = Metrics.histogram "net.queue_wait";
       h_request = Metrics.histogram "net.request_s";
@@ -1698,9 +1904,13 @@ let start ?(config = default_config) sync =
   t.worker_threads <-
     List.init (max 1 config.workers) (fun _ -> Thread.create worker_loop t);
   t.loop_thread <- Some (Thread.create event_loop t);
-  (* a follower never publishes; only primaries run the poll loop *)
-  if not config.read_only then
-    t.publisher <- Some (Thread.create publisher_loop t);
+  (* a follower never publishes; only primaries run the publisher, and
+     hear of commits made outside the request path through the lock's
+     release hook *)
+  if not config.read_only then begin
+    Sync.set_on_release sync (fun () -> signal_commit t);
+    t.publisher <- Some (Thread.create publisher_loop t)
+  end;
   Expo.update_process_gauges ();
   setup_telemetry t;
   Event.info

@@ -5,16 +5,24 @@ type t = {
   mutable server : Icdb.Server.t;
   lock : Mutex.t;
   mutable workspace : string;
+  mutable on_release : unit -> unit;
 }
 
 let wrap server =
   { server;
     lock = Mutex.create ();
-    workspace = Icdb.Server.workspace server }
+    workspace = Icdb.Server.workspace server;
+    on_release = ignore }
 
-let with_server t f =
+let with_server ?(notify = true) t f =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> f t.server)
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.unlock t.lock;
+      if notify then t.on_release ())
+    (fun () -> f t.server)
+
+let set_on_release t f = t.on_release <- f
 
 (* Swap the server out under the same lock every request holds: a
    replication follower re-syncing from a fresh checkpoint rebuilds a

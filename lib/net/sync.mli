@@ -30,10 +30,21 @@ val wrap : Icdb.Server.t -> t
 (** Takes ownership: after [wrap server], touching [server] outside
     {!with_server} from any thread is a bug. *)
 
-val with_server : t -> (Icdb.Server.t -> 'a) -> 'a
+val with_server : ?notify:bool -> t -> (Icdb.Server.t -> 'a) -> 'a
 (** Run [f] holding the lock. Exceptions release the lock and
     propagate. Not reentrant — calling {!with_server} inside [f]
-    deadlocks, as [Mutex.lock] on an owned mutex does. *)
+    deadlocks, as [Mutex.lock] on an owned mutex does.
+
+    After the lock is released (also when [f] raises) the release hook
+    runs, unless [~notify:false]: a primary's replication publisher
+    hooks it to learn of journal commits made by callers outside the
+    request path. The request path passes [~notify:false] and signals
+    after its reply is queued instead. *)
+
+val set_on_release : t -> (unit -> unit) -> unit
+(** Install the release hook (initially [ignore]). It runs on the
+    releasing thread without the lock, so it must be cheap, must not
+    raise, and must not call {!with_server}. *)
 
 val replace : t -> (Icdb.Server.t -> Icdb.Server.t) -> unit
 (** [replace t f] swaps the wrapped server for [f server], holding the

@@ -62,6 +62,9 @@ type t = {
   mutable on_tick : (unit -> unit) list;
   stop_flag : bool Atomic.t;
   mutable thread : Thread.t option;
+  (* The self-pipe the sampler sleeps on between ticks, open while its
+     thread runs: [stop] writes it rather than waiting out a period. *)
+  mutable wake : (Unix.file_descr * Unix.file_descr) option;
 }
 
 let create ?(cap = 600) ~period_s () =
@@ -77,7 +80,8 @@ let create ?(cap = 600) ~period_s () =
     last_tick = 0.0;
     on_tick = [];
     stop_flag = Atomic.make false;
-    thread = None }
+    thread = None;
+    wake = None }
 
 let period t = t.period_s
 let capacity t = t.cap
@@ -156,6 +160,18 @@ let last_value t s =
 
 let running t = t.thread <> None
 
+(* Sleep [dt] seconds, or until [stop] writes the wake pipe. select(2)
+   cannot watch an fd numbered past FD_SETSIZE; the sampler then sleeps
+   the period out. *)
+let sleep t dt =
+  match t.wake with
+  | Some (r, _) -> (
+      match Unix.select [ r ] [] [] dt with
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error _ -> Thread.delay dt)
+  | None -> Thread.delay dt
+
 let loop t =
   let start = Unix.gettimeofday () in
   let k = ref 0 in
@@ -173,7 +189,7 @@ let loop t =
       Mutex.unlock t.lock;
       k := !k + skipped
     end
-    else if now < next then Thread.delay (next -. now)
+    else if now < next then sleep t (next -. now)
   done
 
 let start t =
@@ -181,12 +197,22 @@ let start t =
   | Some _ -> ()
   | None ->
       Atomic.set t.stop_flag false;
+      t.wake <- Some (Unix.pipe ~cloexec:true ());
       t.thread <- Some (Thread.create loop t)
 
 let stop t =
   Atomic.set t.stop_flag true;
+  (match t.wake with
+   | Some (_, w) -> (
+       try ignore (Unix.write_substring w "x" 0 1) with Unix.Unix_error _ -> ())
+   | None -> ());
   (match t.thread with Some th -> Thread.join th | None -> ());
-  t.thread <- None
+  t.thread <- None;
+  (match t.wake with
+   | Some (r, w) ->
+       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r; w ]
+   | None -> ());
+  t.wake <- None
 
 (* ------------------------------------------------------------------ *)
 (* JSON rendering (the /statz body and the recorder's series section)  *)

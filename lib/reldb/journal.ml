@@ -174,11 +174,37 @@ type t = {
      checkpoint. *)
   mutable base : int;
   mutable next : int;
+  (* Byte offset of every record since [base]: record [base + k] starts
+     at [offs.(k)], and [offs.(next - base)] is the end of the last one,
+     so a tail read seeks straight to its cursor. *)
+  mutable offs : int array;
+  (* The file is exactly the indexed records: no torn tail was found at
+     open. Together with a length check at read time (a foreign append
+     changes the length) this decides whether [offs] describes the file
+     or a tail read must scan it from the start. *)
+  mutable indexed : bool;
+  (* Records below this cursor are committed: published after each
+     append's flush, and readable from any thread without the lock that
+     serializes appends. *)
+  committed : int Atomic.t;
 }
 
 let path t = t.jpath
 let base_seq t = t.base
 let next_seq t = t.next
+let committed t = Atomic.get t.committed
+
+let index_end t = t.offs.(t.next - t.base)
+
+(* Record that the next record starts at [pos], growing the index. *)
+let index_push t pos =
+  let k = t.next - t.base in
+  if k >= Array.length t.offs then begin
+    let grown = Array.make (2 * Array.length t.offs) 0 in
+    Array.blit t.offs 0 grown 0 (Array.length t.offs);
+    t.offs <- grown
+  end;
+  t.offs.(k) <- pos
 
 let seq_path jpath = jpath ^ ".seq"
 
@@ -204,34 +230,45 @@ let write_base jpath base =
     (fun () -> Printf.fprintf oc "%d\n" base);
   Sys.rename tmp (seq_path jpath)
 
-(* Valid records currently in the file — the same longest-valid-prefix
-   rule replay uses, so the cursor agrees with what recovery keeps. *)
-let count_records jpath =
-  if not (Sys.file_exists jpath) then 0
+(* Offsets of the valid records currently in the file — the same
+   longest-valid-prefix rule replay uses, so the cursor agrees with what
+   recovery keeps — plus the end of the last one, and whether those
+   records are the whole file, newline-terminated (a later append would
+   otherwise land behind a torn tail, or glue onto an unterminated last
+   record). *)
+let scan_records jpath =
+  if not (Sys.file_exists jpath) then ([ 0 ], true)
   else begin
     let ic = open_in_bin jpath in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
-        let n = ref 0 in
+        let offs = ref [ 0 ] in
         (try
            let stop = ref false in
            while not !stop do
              match decode_line (input_line ic) with
-             | Some _ -> incr n
+             | Some _ -> offs := pos_in ic :: !offs
              | None -> stop := true
            done
          with End_of_file -> ());
-        !n)
+        let last = List.hd !offs in
+        let whole =
+          last = in_channel_length ic
+          && (last = 0 || (seek_in ic (last - 1); input_char ic = '\n'))
+        in
+        (List.rev !offs, whole))
   end
 
 let open_append jpath =
   let base = read_base jpath in
-  let count = count_records jpath in
+  let offs, indexed = scan_records jpath in
+  let offs = Array.of_list offs in
+  let next = base + Array.length offs - 1 in
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 jpath
   in
-  { jpath; oc; base; next = base + count }
+  { jpath; oc; base; next; offs; indexed; committed = Atomic.make next }
 
 (* Seed a journal's cursor before it exists: a follower installing a
    checkpoint fetched at sequence [seq] writes the sidecar and an empty
@@ -247,9 +284,13 @@ let append t e =
   Icdb_obs.Trace.with_span "journal.append" @@ fun () ->
   Icdb_obs.Metrics.incr m_appends;
   !append_hook ();
-  output_string t.oc (encode_line e);
+  let line = encode_line e in
+  output_string t.oc line;
   flush t.oc;
-  t.next <- t.next + 1
+  let pos = index_end t + String.length line in
+  t.next <- t.next + 1;
+  index_push t pos;
+  Atomic.set t.committed t.next
 
 let close t = close_out t.oc
 
@@ -263,7 +304,9 @@ let reset t =
   t.base <- t.next;
   write_base t.jpath t.base;
   close_out t.oc;
-  t.oc <- open_out_gen [ Open_trunc; Open_creat; Open_wronly ] 0o644 t.jpath
+  t.oc <- open_out_gen [ Open_trunc; Open_creat; Open_wronly ] 0o644 t.jpath;
+  t.offs <- Array.make 64 0;
+  t.indexed <- true
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -322,20 +365,13 @@ type stream = {
 
 let m_streamed = Icdb_obs.Metrics.counter "journal.streamed_entries"
 
-(* Tail-read from a global sequence number. Reads the live file, so a
-   record whose final flush is racing us decodes as torn; like replay,
-   the stream stops at the longest valid prefix and reports the torn
-   tail rather than failing — the next poll picks the record up once
-   its bytes are complete. *)
-let stream_from t ~seq ?(max_records = max_int) () =
-  Icdb_obs.Trace.with_span "journal.stream" @@ fun () ->
-  !stream_hook ();
-  if seq < t.base || seq > t.next then
-    journal_err "stream_from: seq %d outside journal window [%d, %d)" seq
-      t.base t.next;
-  flush t.oc;
-  if not (Sys.file_exists t.jpath) then
-    { st_first = seq; st_entries = []; st_torn = false }
+let empty_stream seq = { st_first = seq; st_entries = []; st_torn = false }
+
+(* The records from [seq] on, found by scanning the live file from
+   [base] — the longest-valid-prefix rule itself. Only a file the index
+   does not describe is read this way. *)
+let scan_from t ~seq ~max_records =
+  if not (Sys.file_exists t.jpath) then empty_stream seq
   else begin
     let ic = open_in_bin t.jpath in
     Fun.protect
@@ -358,6 +394,54 @@ let stream_from t ~seq ?(max_records = max_int) () =
              | None -> torn := true
            done
          with End_of_file -> ());
-        Icdb_obs.Metrics.incr ~by:!count m_streamed;
         { st_first = seq; st_entries = List.rev !out; st_torn = !torn })
   end
+
+(* The [count] records from [seq] on, read in one seek and one read
+   through the offset index. A record that no longer decodes (the file
+   was overwritten in place) ends the stream as a torn tail. *)
+let read_indexed t ~seq ~count =
+  match open_in_bin t.jpath with
+  | exception Sys_error _ -> empty_stream seq
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let k = seq - t.base in
+          let first = t.offs.(k) in
+          seek_in ic first;
+          let data = really_input_string ic (t.offs.(k + count) - first) in
+          let rec decode i pos acc =
+            if i = count then (List.rev acc, false)
+            else
+              let stop = t.offs.(k + i + 1) - first in
+              match decode_line (String.sub data pos (stop - pos - 1)) with
+              | Some e -> decode (i + 1) stop (e :: acc)
+              | None -> (List.rev acc, true)
+          in
+          let entries, torn = decode 0 0 [] in
+          { st_first = seq; st_entries = entries; st_torn = torn })
+
+(* Tail-read from a global sequence number, in time proportional to the
+   records returned: the index gives the cursor's byte offset, and a
+   caught-up cursor opens no file at all. The publisher reads under the
+   lock that serializes appends, so no append races it; a file that
+   holds bytes this handle did not write (a torn tail found at open, a
+   foreign append) is scanned from [base] instead, so the stream still
+   stops at the longest valid prefix and reports the torn tail. *)
+let stream_from t ~seq ?(max_records = max_int) () =
+  Icdb_obs.Trace.with_span "journal.stream" @@ fun () ->
+  !stream_hook ();
+  if seq < t.base || seq > t.next then
+    journal_err "stream_from: seq %d outside journal window [%d, %d)" seq
+      t.base t.next;
+  flush t.oc;
+  let s =
+    if t.indexed && out_channel_length t.oc = index_end t then begin
+      let count = min max_records (t.next - seq) in
+      if count <= 0 then empty_stream seq else read_indexed t ~seq ~count
+    end
+    else scan_from t ~seq ~max_records
+  in
+  Icdb_obs.Metrics.incr ~by:(List.length s.st_entries) m_streamed;
+  s

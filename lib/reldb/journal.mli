@@ -51,6 +51,14 @@ val next_seq : t -> int
 (** Sequence number the next {!append} will get; equivalently, one past
     the last record in the file. *)
 
+val committed : t -> int
+(** The commit cursor: every record below it is committed and may be
+    replicated. It is published through an [Atomic] at the commit
+    point, so any thread may read it without the lock that serializes
+    appends. Today the commit point is the end of {!append} (the record
+    is flushed to the OS), so this equals {!next_seq}; a journal that
+    syncs would publish its synced cursor here instead. *)
+
 val install_base : string -> int -> unit
 (** [install_base path seq] seeds a journal that does not exist yet: it
     writes the sequence sidecar and an empty journal file so the next
@@ -93,10 +101,14 @@ type stream = {
 val stream_from : t -> seq:int -> ?max_records:int -> unit -> stream
 (** [stream_from t ~seq ()] reads the records from global sequence
     [seq] (inclusive) to the end of the journal, at most [max_records]
-    of them. Tolerates a torn final record the same way {!replay} does:
-    the stream stops at the longest valid prefix and sets [st_torn] —
-    an append racing the read looks torn for one poll and is picked up
-    whole on the next.
+    of them, in time proportional to the records returned: the handle
+    keeps each record's byte offset, so the read seeks to [seq], and
+    [seq = next_seq] returns the empty stream without opening the file.
+    Tolerates a torn final record the same way {!replay} does: the
+    stream stops at the longest valid prefix and sets [st_torn]. A file
+    holding bytes this handle did not write (a torn tail found at open,
+    or a foreign append) is scanned from {!base_seq} to keep that rule.
+    {!stream_hook} fires on every call.
     @raise Journal_error when [seq] is outside [[base_seq, next_seq]] —
     the caller's cursor predates the last truncation (serve a full
     checkpoint instead) or comes from a diverged future. *)

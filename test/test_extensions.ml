@@ -184,6 +184,32 @@ let test_wide_mutant_falls_back () =
     (List.length inst.Instance.netlist.Icdb_netlist.Netlist.inputs);
   check Alcotest.bool "served degraded" true inst.Instance.degraded
 
+(* A netlist that never settles fails verification like a wrong one
+   does: the simulator's exception must not escape the request, which
+   falls back to the next generator instead. *)
+let test_unsettled_falls_back () =
+  with_server @@ fun server ->
+  let add_ring (nl : Icdb_netlist.Netlist.t) =
+    { nl with
+      instances =
+        { Icdb_netlist.Netlist.inst_name = "ring0";
+          cell = "INV";
+          size = 1.0;
+          conns = [ ("A", "ring_n"); ("Y", "ring_n") ] }
+        :: nl.instances }
+  in
+  Server.insert_generator server
+    { Generator.gen_name = "ringed";
+      gen_description = "milo plus a one-inverter ring";
+      synthesize =
+        (fun flat -> add_ring (Generator.milo.Generator.synthesize flat)) };
+  let inst = request server ~generator:"ringed" "adder" [ ("size", 2) ] in
+  check Alcotest.bool "served degraded" true inst.Instance.degraded;
+  check Alcotest.bool "ring not served" false
+    (List.exists
+       (fun (i : Icdb_netlist.Netlist.instance) -> i.inst_name = "ring0")
+       inst.Instance.netlist.Icdb_netlist.Netlist.instances)
+
 (* ------------------------------------------------------------------ *)
 (* Universal attributes (App B §3)                                     *)
 (* ------------------------------------------------------------------ *)
@@ -533,5 +559,7 @@ let () =
          Alcotest.test_case "unknown rejected" `Quick test_unknown_generator;
          Alcotest.test_case "insert custom" `Quick test_insert_generator;
          Alcotest.test_case "wide mutant falls back" `Quick
-           test_wide_mutant_falls_back ]);
+           test_wide_mutant_falls_back;
+         Alcotest.test_case "unsettled netlist falls back" `Quick
+           test_unsettled_falls_back ]);
       ("fuzz", props) ]

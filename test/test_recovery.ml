@@ -163,6 +163,89 @@ let test_journal_stream_from () =
   Sys.remove path;
   Sys.remove (path ^ ".seq")
 
+(* The indexed tail read against the full-scan oracle, at every cursor
+   of the window after every step of seeded sequences of appends,
+   checkpoint truncations, reopens, and foreign bytes appended behind
+   the channel (a torn fragment, a junk line, a whole valid record, an
+   unterminated valid record), each followed by more appends. The
+   journal_stream hook must fire once per call, in-window or not. *)
+let test_journal_tail_read_differential () =
+  let hits = ref 0 and calls = ref 0 in
+  let saved_hook = !Journal.stream_hook in
+  Journal.stream_hook := (fun () -> incr hits);
+  Fun.protect ~finally:(fun () -> Journal.stream_hook := saved_hook)
+  @@ fun () ->
+  let entry rng =
+    let tag = Printf.sprintf "d%d" (Random.State.int rng 1000) in
+    match Random.State.int rng 4 with
+    | 0 -> Journal.Tx_begin tag
+    | 1 -> Journal.Insert ("t", [ Value.Str (tag ^ "\tx\ny"); Value.Int 7 ])
+    | 2 -> Journal.Delete ("t", [ Value.Str tag; Value.Int 7 ])
+    | _ -> Journal.Create (tag, [ ("a", Value.Tstr) ])
+  in
+  let foreign rng =
+    match Random.State.int rng 4 with
+    | 0 -> "deadbeef\tI\tt"
+    | 1 -> "junk line\n"
+    | 2 -> Journal.encode_line (entry rng)
+    | _ ->
+        let l = Journal.encode_line (entry rng) in
+        String.sub l 0 (String.length l - 1)
+  in
+  let stream_eq (a : Journal.stream) (b : Journal.stream) =
+    a.Journal.st_first = b.Journal.st_first
+    && a.Journal.st_entries = b.Journal.st_entries
+    && a.Journal.st_torn = b.Journal.st_torn
+  in
+  for seed = 1 to 25 do
+    let rng = Random.State.make [| seed |] in
+    let path = Filename.temp_file "icdb_jdiff" ".journal" in
+    let j = ref (Journal.open_append path) in
+    for step = 1 to 30 do
+      (match Random.State.int rng 10 with
+       | 0 -> Journal.reset !j
+       | 1 ->
+           Journal.close !j;
+           j := Journal.open_append path
+       | 2 ->
+           let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+           output_string oc (foreign rng);
+           close_out oc
+       | _ -> Journal.append !j (entry rng));
+      let base = Journal.base_seq !j and next = Journal.next_seq !j in
+      for seq = base to next do
+        List.iter
+          (fun max_records ->
+            incr calls;
+            let got = Journal.stream_from !j ~seq ?max_records () in
+            let want = Oracle_journal.stream_from !j ~seq ?max_records () in
+            if not (stream_eq got want) then
+              Alcotest.failf
+                "seed %d step %d: stream_from ~seq:%d ~max_records:%s \
+                 returned %d entries (torn %b), the full scan %d (torn %b)"
+                seed step seq
+                (match max_records with
+                 | Some n -> string_of_int n
+                 | None -> "-")
+                (List.length got.Journal.st_entries) got.Journal.st_torn
+                (List.length want.Journal.st_entries) want.Journal.st_torn)
+          [ None; Some 0; Some 1; Some 2; Some (1 + Random.State.int rng 8) ]
+      done;
+      List.iter
+        (fun seq ->
+          incr calls;
+          match Journal.stream_from !j ~seq () with
+          | _ -> Alcotest.failf "seed %d: seq %d outside the window served" seed seq
+          | exception Journal.Journal_error _ -> ())
+        (next + 1 :: (if base > 0 then [ base - 1 ] else []))
+    done;
+    Journal.close !j;
+    List.iter
+      (fun f -> if Sys.file_exists f then Sys.remove f)
+      [ path; path ^ ".seq" ]
+  done;
+  check Alcotest.int "journal_stream hook fires on every call" !calls !hits
+
 let test_faultinject_spec () =
   with_faults @@ fun () ->
   Faultinject.arm_from_spec "techmap:crash:2;sizing:transient:1";
@@ -499,6 +582,8 @@ let () =
           Alcotest.test_case "checksum" `Quick test_journal_checksum;
           Alcotest.test_case "cursor" `Quick test_journal_cursor;
           Alcotest.test_case "stream_from" `Quick test_journal_stream_from;
+          Alcotest.test_case "tail read = full scan" `Quick
+            test_journal_tail_read_differential;
           Alcotest.test_case "fault spec" `Quick test_faultinject_spec ] );
       ( "hardening",
         [ Alcotest.test_case "sql quoting" `Quick test_sql_quote;

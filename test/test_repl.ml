@@ -29,8 +29,10 @@ let with_primary ?(config = Service.default_config) f =
     ~finally:(fun () -> Service.shutdown svc)
     (fun () -> f svc (Service.port svc) sync)
 
+(* [~notify:false]: the probe must not itself wake the publisher, or a
+   write that failed to signal its commit would still be shipped. *)
 let primary_next sync =
-  Sync.with_server sync (fun server ->
+  Sync.with_server ~notify:false sync (fun server ->
       match Icdb_reldb.Db.journal (Server.db server) with
       | Some j -> Icdb_reldb.Journal.next_seq j
       | None -> 0)
@@ -403,6 +405,139 @@ let test_primary_restart () =
   Fun.protect ~finally:(fun () -> Service.shutdown fsvc) @@ fun () ->
   assert_identical ~pport ~fport:(Service.port fsvc)
 
+(* ------------------------------------------------------------------ *)
+(* Push replication: wake causes                                       *)
+(* ------------------------------------------------------------------ *)
+
+let counter name = (Icdb_obs.Metrics.counter name).Icdb_obs.Metrics.count
+let gauge name = (Icdb_obs.Metrics.gauge name).Icdb_obs.Metrics.gvalue
+
+let wake_causes = [ "commit"; "subscribe"; "timer"; "retry"; "drain" ]
+
+let wake_counts () =
+  List.map (fun c -> (c, counter ("repl.wake." ^ c))) wake_causes
+
+(* Per-cause increase since [before]. *)
+let wakes_since before =
+  List.map (fun (c, n) -> (c, counter ("repl.wake." ^ c) - n)) before
+
+let generate client name size =
+  ignore
+    (ok_exec client
+       (Printf.sprintf
+          "command:request_component; component_name:%s; \
+           attribute:(size:%d); instance:?s"
+          name size))
+
+(* A record reaches a caught-up follower from the commit wake that
+   announced it. Records ship only below a cursor a commit or subscribe
+   wake has carried, so a heartbeat coming due at the same moment (a
+   timer wake) cannot carry them, and a batch that had to be retried or
+   resumed after a drain would show as a retry or drain wake: with
+   neither, the commit wake shipped them. Writes made outside the
+   request path, straight through the server lock, are pushed the same
+   way. A primary with no follower wakes its publisher for nothing. *)
+let test_push_on_commit () =
+  with_primary @@ fun _psvc pport psync ->
+  let before = wake_counts () in
+  with_client ~port:pport (fun c ->
+      List.iter (fun size -> generate c "counter" size) [ 2; 3; 4; 5 ]);
+  List.iter
+    (fun (cause, n) ->
+      check Alcotest.int
+        (Printf.sprintf "no %s wake without a follower" cause)
+        0 n)
+    (wakes_since before);
+  let ws = fresh_dir "icdb_repl_push" in
+  let rcfg = { Replica.default_config with port = pport } in
+  let replica = Replica.create ~config:rcfg ~workspace:ws () in
+  Fun.protect ~finally:(fun () -> Replica.stop replica) @@ fun () ->
+  let before = wake_counts () in
+  Replica.run replica;
+  wait_caught_up replica psync;
+  check Alcotest.bool "the subscribe woke the publisher" true
+    (List.assoc "subscribe" (wakes_since before) >= 1);
+  let pushed what write =
+    let before = wake_counts () in
+    let sent0 = counter "repl.records_sent" and next0 = primary_next psync in
+    write ();
+    let next = primary_next psync in
+    check Alcotest.bool (what ^ " journaled records") true (next > next0);
+    wait_caught_up replica psync;
+    let since = wakes_since before in
+    check Alcotest.bool (what ^ ": shipped on a commit wake") true
+      (List.assoc "commit" since >= 1);
+    check Alcotest.int (what ^ ": no retry wake") 0 (List.assoc "retry" since);
+    check Alcotest.int (what ^ ": no drain wake") 0 (List.assoc "drain" since);
+    check Alcotest.int (what ^ ": every record shipped once") (next - next0)
+      (counter "repl.records_sent" - sent0);
+    wait_for ~what:"cursor gauges" (fun () ->
+        gauge "repl.commit_cursor" = float_of_int next
+        && gauge "repl.min_shipped_cursor" = float_of_int next)
+  in
+  pushed "a request" (fun () ->
+      with_client ~port:pport (fun c -> generate c "adder" 3));
+  pushed "a write outside the request path" (fun () ->
+      Sync.with_server psync (fun server ->
+          ignore
+            (Server.request_component server
+               (Spec.make
+                  (Spec.From_component
+                     { component = "comparator";
+                       attributes = [ ("size", 3) ];
+                       functions = [] })))))
+
+(* A stream that fails is retried on the publisher's retry deadline, not
+   at the next commit: one write, one injected failure, and the follower
+   still catches up. *)
+let test_retry_without_later_write () =
+  with_faults @@ fun () ->
+  with_primary @@ fun _psvc pport psync ->
+  let ws = fresh_dir "icdb_repl_retry" in
+  let rcfg = { Replica.default_config with port = pport } in
+  let replica = Replica.create ~config:rcfg ~workspace:ws () in
+  Fun.protect ~finally:(fun () -> Replica.stop replica) @@ fun () ->
+  Replica.run replica;
+  wait_caught_up replica psync;
+  let before = wake_counts () in
+  Faultinject.arm Faultinject.Journal_stream
+    (Faultinject.Fail (1, Fault.Transient));
+  with_client ~port:pport (fun c -> generate c "counter" 6);
+  wait_caught_up replica psync;
+  check Alcotest.bool "the journal_stream fault fired" true
+    (Faultinject.hits Faultinject.Journal_stream >= 2);
+  check Alcotest.bool "caught up through a retry wake" true
+    (List.assoc "retry" (wakes_since before) >= 1)
+
+(* Threads of this process, from /proc (Linux). *)
+let thread_count () =
+  In_channel.with_open_text "/proc/self/status" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.find_map (fun l ->
+         match String.split_on_char '\t' l with
+         | [ "Threads:"; n ] -> int_of_string_opt (String.trim n)
+         | _ -> None)
+  |> Option.value ~default:0
+
+(* A follower whose connection dies leaves no thread behind on the
+   primary: its sender, idle on an empty queue, is woken and exits when
+   the publisher drops the follower. *)
+let test_dead_follower_sender_exits () =
+  with_primary @@ fun psvc pport psync ->
+  with_client ~port:pport (fun c -> generate c "counter" 3);
+  let before = thread_count () in
+  for life = 1 to 3 do
+    let ws = fresh_dir (Printf.sprintf "icdb_repl_life%d" life) in
+    let rcfg = { Replica.default_config with port = pport } in
+    let replica = Replica.create ~config:rcfg ~workspace:ws () in
+    Replica.run replica;
+    wait_caught_up replica psync;
+    Replica.stop replica;
+    wait_for ~what:"the primary to drop the follower" (fun () ->
+        Service.follower_count psvc = 0)
+  done;
+  wait_for ~what:"the senders to exit" (fun () -> thread_count () <= before)
+
 let () =
   Alcotest.run "repl"
     [ ( "replication",
@@ -413,4 +548,9 @@ let () =
           Alcotest.test_case "read-only follower" `Quick test_read_only;
           Alcotest.test_case "fault healing" `Quick test_fault_healing;
           Alcotest.test_case "readyz gating" `Quick test_readyz_gating;
-          Alcotest.test_case "primary restart" `Quick test_primary_restart ] ) ]
+          Alcotest.test_case "primary restart" `Quick test_primary_restart;
+          Alcotest.test_case "push on commit" `Quick test_push_on_commit;
+          Alcotest.test_case "retry without a later write" `Quick
+            test_retry_without_later_write;
+          Alcotest.test_case "dead follower's sender exits" `Quick
+            test_dead_follower_sender_exits ] ) ]
