@@ -5,6 +5,7 @@
 
    Run everything:         dune exec bench/main.exe
    Run one experiment:     dune exec bench/main.exe -- fig5
+   Run the ratio gates:    dune exec bench/main.exe -- gates (gates.ml)
    List experiments:       dune exec bench/main.exe -- list *)
 
 open Icdb
@@ -702,1078 +703,6 @@ let bechamel () =
     (List.sort compare names)
 
 (* ------------------------------------------------------------------ *)
-(* E16 / cache: warm vs cold request_component                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The memoization tentpole's headline measurement: every spec is
-   requested once against an empty cache (cold = full Figure 8
-   pipeline) and [warm_reps] more times (warm = cache hit), and the
-   trajectory lands in bench_out/BENCH_cache.json so CI can track it
-   per PR. ICDB_SMOKE=1 shrinks the sweep for CI smoke runs. *)
-let cache_bench () =
-  header "E16 / cache: warm vs cold request_component";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let warm_reps = if smoke then 20 else 100 in
-  let counter ?(size = 5) ?(typ = 2) ?(load = 0) ?(enable = 0) ?(ud = 1) () =
-    Spec.make
-      (Spec.From_component
-         { component = "counter";
-           attributes =
-             [ ("size", size); ("type", typ); ("load", load);
-               ("enable", enable); ("up_or_down", ud) ];
-           functions = [] })
-  in
-  let simple comp size =
-    Spec.make
-      (Spec.From_component
-         { component = comp; attributes = [ ("size", size) ]; functions = [] })
-  in
-  let specs =
-    [ ("counter5_sync", counter ());
-      ("counter5_updown_load", counter ~ud:3 ~load:1 ~enable:1 ());
-      ("adder6", simple "adder" 6);
-      ("register8", simple "register" 8) ]
-    @
-    if smoke then []
-    else
-      [ ("counter8_ripple", counter ~size:8 ~typ:1 ());
-        ("comparator6", simple "comparator" 6);
-        ("mux4", simple "mux_scl" 4);
-        ("adder10", simple "adder" 10) ]
-  in
-  let s = Server.create () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
-  let rows =
-    List.map
-      (fun (name, spec) ->
-        let cold_inst, cold = time (fun () -> Server.request_component s spec) in
-        let warm_inst = ref cold_inst in
-        let (), warm_total =
-          time (fun () ->
-              for _ = 1 to warm_reps do
-                warm_inst := Server.request_component s spec
-              done)
-        in
-        let warm = warm_total /. float_of_int warm_reps in
-        assert (!warm_inst == cold_inst);  (* hits return the same instance *)
-        (name, cold, warm))
-      specs
-  in
-  Printf.printf "%-22s %10s %12s %9s\n" "spec" "cold (ms)" "warm (us)"
-    "speedup";
-  List.iter
-    (fun (name, cold, warm) ->
-      Printf.printf "%-22s %10.2f %12.2f %8.0fx\n" name (cold *. 1e3)
-        (warm *. 1e6)
-        (cold /. warm))
-    rows;
-  let cold_total = List.fold_left (fun a (_, c, _) -> a +. c) 0.0 rows in
-  let warm_total = List.fold_left (fun a (_, _, w) -> a +. w) 0.0 rows in
-  let speedup = cold_total /. warm_total in
-  let st = Server.stats s in
-  Printf.printf
-    "totals: cold %.1f ms, warm %.1f us/sweep -> %.0fx; stats: %d hits, %d \
-     reuse, %d misses, %d memo hits, %d entries\n"
-    (cold_total *. 1e3) (warm_total *. 1e6) speedup st.Server.st_hits
-    st.Server.st_reuse_hits st.Server.st_misses st.Server.st_memo_hits
-    st.Server.st_entries;
-  Printf.printf "shape check: warm >= 10x faster than cold (%b)\n"
-    (speedup >= 10.0);
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_cache.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "cache");
-         ("smoke", Bench_json.Bool smoke);
-         ("warm_reps", Bench_json.Int warm_reps);
-         ("cold_total_s", Bench_json.float ~prec:6 cold_total);
-         ("warm_per_sweep_s", Bench_json.float ~prec:9 warm_total);
-         ("speedup", Bench_json.float ~prec:1 speedup);
-         ( "per_spec",
-           Bench_json.List
-             (List.map
-                (fun (name, cold, warm) ->
-                  Bench_json.Obj
-                    [ ("name", Bench_json.Str name);
-                      ("cold_s", Bench_json.float ~prec:6 cold);
-                      ("warm_s", Bench_json.float ~prec:9 warm);
-                      ("speedup", Bench_json.float ~prec:1 (cold /. warm)) ])
-                rows) );
-         ( "stats",
-           Bench_json.Obj
-             [ ("hits", Bench_json.Int st.Server.st_hits);
-               ("reuse_hits", Bench_json.Int st.Server.st_reuse_hits);
-               ("misses", Bench_json.Int st.Server.st_misses);
-               ("evictions", Bench_json.Int st.Server.st_evictions);
-               ("entries", Bench_json.Int st.Server.st_entries);
-               ("memo_hits", Bench_json.Int st.Server.st_memo_hits);
-               ("memo_misses", Bench_json.Int st.Server.st_memo_misses) ] ) ]);
-  Printf.printf "trajectory -> %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* E17 / phases: per-phase latency of the generation path              *)
-(* ------------------------------------------------------------------ *)
-
-(* The observability tentpole's headline measurement: one cold
-   Layout-target request traced end to end (the full Figure 8 pipeline,
-   every phase spanned), then warm cache-hit repeats, with the
-   per-phase numbers landing in bench_out/BENCH_phases.json and the
-   cold span tree in bench_out/BENCH_trace.json (Chrome trace_event
-   JSON). Exits non-zero if any expected phase span is missing from the
-   cold trace, so CI catches instrumentation rot. *)
-let phases_bench () =
-  header "E17 / phases: per-phase latency breakdown of request_component";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let warm_reps = if smoke then 20 else 100 in
-  let spec =
-    Spec.make ~target:Spec.Layout
-      (Spec.From_component
-         { component = "counter";
-           attributes =
-             [ ("size", 5); ("type", 2); ("load", 1); ("enable", 1);
-               ("up_or_down", 3) ];
-           functions = [] })
-  in
-  Icdb_obs.Trace.set_enabled true;
-  let s = Server.create ~verify:false () in
-  let mark = Icdb_obs.Trace.finished_count () in
-  ignore (Server.request_component s spec);
-  let cold_spans = Icdb_obs.Trace.since mark in
-  for _ = 1 to warm_reps do
-    ignore (Server.request_component s spec)
-  done;
-  Icdb_obs.Trace.set_enabled false;
-  let dir = out_dir () in
-  let trace_path = Filename.concat dir "BENCH_trace.json" in
-  Icdb_obs.Trace.write_chrome ~spans:cold_spans trace_path;
-  let cold_totals = Icdb_obs.Trace.phase_totals cold_spans in
-  let cold_request =
-    match List.assoc_opt "request" cold_totals with Some t -> t | None -> 0.0
-  in
-  let st = Server.stats s in
-  Printf.printf "%-20s %12s | %7s %10s %10s %10s\n" "phase" "cold" "count"
-    "p50" "p90" "p99";
-  print_endline (String.make 76 '-');
-  List.iter
-    (fun (name, cold) ->
-      let q f =
-        match
-          List.find_opt
-            (fun (x : Icdb_obs.Metrics.summary) ->
-              x.Icdb_obs.Metrics.s_name = name)
-            st.Server.st_phases
-        with
-        | Some x -> f x
-        | None -> 0.0
-      in
-      let count =
-        match
-          List.find_opt
-            (fun (x : Icdb_obs.Metrics.summary) ->
-              x.Icdb_obs.Metrics.s_name = name)
-            st.Server.st_phases
-        with
-        | Some x -> x.Icdb_obs.Metrics.s_count
-        | None -> 0
-      in
-      Printf.printf "%-20s %12s | %7d %10s %10s %10s\n" name
-        (Icdb_obs.Metrics.pretty_s cold)
-        count
-        (Icdb_obs.Metrics.pretty_s (q (fun x -> x.Icdb_obs.Metrics.s_p50)))
-        (Icdb_obs.Metrics.pretty_s (q (fun x -> x.Icdb_obs.Metrics.s_p90)))
-        (Icdb_obs.Metrics.pretty_s (q (fun x -> x.Icdb_obs.Metrics.s_p99))))
-    cold_totals;
-  let warm_request =
-    match
-      List.find_opt
-        (fun (x : Icdb_obs.Metrics.summary) ->
-          x.Icdb_obs.Metrics.s_name = "request")
-        st.Server.st_phases
-    with
-    | Some x -> x.Icdb_obs.Metrics.s_p50
-    | None -> 0.0
-  in
-  Printf.printf
-    "cold request %s, warm request p50 %s over %d repeats\n"
-    (Icdb_obs.Metrics.pretty_s cold_request)
-    (Icdb_obs.Metrics.pretty_s warm_request)
-    warm_reps;
-  (* the once-per-request server phases plus the library-level spans a
-     cold Layout-target generation must traverse *)
-  let required =
-    [ "request"; "cache_lookup"; "resolve"; "expand"; "generator_select";
-      "synthesize"; "sizing"; "sta"; "shape"; "persist"; "cif";
-      "opt.optimize"; "techmap.map"; "sta.analyze"; "sizing.size";
-      "shape.estimate"; "cif.generate" ]
-  in
-  let missing =
-    List.filter (fun p -> not (List.mem_assoc p cold_totals)) required
-  in
-  let path = Filename.concat dir "BENCH_phases.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "phases");
-         ("smoke", Bench_json.Bool smoke);
-         ("warm_reps", Bench_json.Int warm_reps);
-         ("cold_request_s", Bench_json.float ~prec:6 cold_request);
-         ("warm_request_p50_s", Bench_json.float ~prec:9 warm_request);
-         ( "cold_phases",
-           Bench_json.List
-             (List.map
-                (fun (name, total) ->
-                  Bench_json.Obj
-                    [ ("name", Bench_json.Str name);
-                      ("total_s", Bench_json.float ~prec:9 total) ])
-                cold_totals) );
-         ( "phase_summaries",
-           Bench_json.List
-             (List.map
-                (fun (x : Icdb_obs.Metrics.summary) ->
-                  Bench_json.Obj
-                    [ ("name", Bench_json.Str x.Icdb_obs.Metrics.s_name);
-                      ("count", Bench_json.Int x.Icdb_obs.Metrics.s_count);
-                      ("p50_s", Bench_json.float ~prec:9 x.Icdb_obs.Metrics.s_p50);
-                      ("p90_s", Bench_json.float ~prec:9 x.Icdb_obs.Metrics.s_p90);
-                      ("p99_s", Bench_json.float ~prec:9 x.Icdb_obs.Metrics.s_p99);
-                      ("sum_s", Bench_json.float ~prec:9 x.Icdb_obs.Metrics.s_sum) ])
-                st.Server.st_phases) );
-         ( "missing_phases",
-           Bench_json.List (List.map (fun p -> Bench_json.Str p) missing) ) ]);
-  Printf.printf "per-phase trajectory -> %s\n" path;
-  Printf.printf "cold span tree -> %s (chrome://tracing / Perfetto)\n"
-    trace_path;
-  if missing <> [] then begin
-    Printf.printf "MISSING PHASE SPANS: %s\n" (String.concat " " missing);
-    exit 1
-  end
-  else Printf.printf "shape check: all %d expected phase spans present (true)\n"
-         (List.length required)
-
-(* ------------------------------------------------------------------ *)
-(* E18 / serve: network service throughput and latency                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The network tentpole's headline measurement: an in-process icdbd on
-   an ephemeral port, N client threads each running M CQL queries over
-   their own TCP connection (the client library is call/response and
-   not thread-safe, so one connection per thread mirrors real use).
-   Each client cold-generates one distinct component, then hammers the
-   cache-served query path — so the numbers blend one generation miss
-   per client into a hit-dominated workload, the way a synthesis tool
-   fanning out over a shared daemon would. Reports throughput and the
-   p50/p99 round-trip latency, and lands the trajectory in
-   bench_out/BENCH_serve.json. ICDB_SMOKE=1 shrinks the sweep. *)
-let serve_bench () =
-  header "E18 / serve: icdbd throughput and round-trip latency";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let clients = if smoke then 4 else 8 in
-  let queries = if smoke then 25 else 100 in
-  let sync = Icdb_net.Sync.wrap (Server.create ()) in
-  let config =
-    { Icdb_net.Service.default_config with
-      port = 0;
-      max_connections = clients + 4;
-      workers = 4;
-      max_queue = clients * 4 }
-  in
-  let svc = Icdb_net.Service.start ~config sync in
-  let port = Icdb_net.Service.port svc in
-  let run_client k =
-    let c = Icdb_net.Client.connect ~port () in
-    let gen =
-      Printf.sprintf
-        "command:request_component; component_name:counter; \
-         attribute:(size:%d); attribute:(type:2); instance:?s"
-        (3 + k)
-    in
-    let hot =
-      [| gen; "command:function_query; function:(INC); component:?s"; gen |]
-    in
-    let lat = Array.make queries 0.0 in
-    for i = 0 to queries - 1 do
-      let text = if i = 0 then gen else hot.(i mod Array.length hot) in
-      let t0 = Unix.gettimeofday () in
-      (match Icdb_net.Client.exec c text with
-      | Ok _ -> ()
-      | Error (_, msg) -> failwith ("serve bench query failed: " ^ msg));
-      lat.(i) <- Unix.gettimeofday () -. t0
-    done;
-    Icdb_net.Client.close c;
-    lat
-  in
-  let t0 = Unix.gettimeofday () in
-  (* Thread.join discards results, so each thread writes its own slot *)
-  let slots = Array.make clients [||] in
-  let threads =
-    List.init clients (fun k ->
-        Thread.create (fun () -> slots.(k) <- run_client k) ())
-  in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let lats = Array.concat (Array.to_list (Array.map Array.copy slots)) in
-  Array.sort compare lats;
-  let total = Array.length lats in
-  let pct p =
-    if total = 0 then 0.0
-    else
-      let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int total)) in
-      lats.(max 0 (min (total - 1) (rank - 1)))
-  in
-  let p50 = pct 50.0 and p90 = pct 90.0 and p99 = pct 99.0 in
-  let throughput = float_of_int total /. wall in
-  Printf.printf
-    "%d clients x %d queries = %d requests in %.2f s -> %.0f req/s\n" clients
-    queries total wall throughput;
-  Printf.printf "round-trip latency: p50 %.2f ms, p90 %.2f ms, p99 %.2f ms, max %.2f ms\n"
-    (p50 *. 1e3) (p90 *. 1e3) (p99 *. 1e3)
-    (if total = 0 then 0.0 else lats.(total - 1) *. 1e3);
-  Printf.printf "shape checks: all requests answered (%b), p99 >= p50 (%b)\n"
-    (total = clients * queries)
-    (p99 >= p50);
-  (* E21: the batching curve. The caches are hot now (the sequential
-     sweep above generated every component), so this isolates what the
-     wire v4 [Batch] frame buys on the hit-dominated path: one framing
-     round trip and one admission decision amortized over the whole
-     batch instead of paid per request. Each client still runs the same
-     number of queries; only the grouping changes. *)
-  let batch_sizes = if smoke then [ 1; 5; 25 ] else [ 1; 4; 16; 64 ] in
-  let run_batch_client size k =
-    let c = Icdb_net.Client.connect ~port () in
-    let hot =
-      [| Printf.sprintf
-           "command:request_component; component_name:counter; \
-            attribute:(size:%d); attribute:(type:2); instance:?s"
-           (3 + k);
-         "command:function_query; function:(INC); component:?s" |]
-    in
-    let sent = ref 0 in
-    while !sent < queries do
-      let n = min size (queries - !sent) in
-      let entries =
-        List.init n (fun i ->
-            Icdb_net.Wire.Bcql
-              { text = hot.((!sent + i) mod Array.length hot); args = [] })
-      in
-      (match Icdb_net.Client.batch c entries with
-      | Ok results ->
-          List.iter
-            (function
-              | Icdb_net.Wire.Berror { message; _ } ->
-                  failwith ("serve bench batch entry failed: " ^ message)
-              | _ -> ())
-            results
-      | Error (_, msg) -> failwith ("serve bench batch failed: " ^ msg));
-      sent := !sent + n
-    done;
-    Icdb_net.Client.close c
-  in
-  let batch_curve =
-    List.map
-      (fun size ->
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init clients (fun k ->
-              Thread.create (fun () -> run_batch_client size k) ())
-        in
-        List.iter Thread.join threads;
-        let bwall = Unix.gettimeofday () -. t0 in
-        let rps = float_of_int (clients * queries) /. bwall in
-        Printf.printf "batch size %3d: %d requests in %.3f s -> %.0f req/s\n"
-          size (clients * queries) bwall rps;
-        (size, bwall, rps))
-      batch_sizes
-  in
-  Icdb_net.Service.shutdown svc;
-  let batch_rps =
-    List.fold_left (fun a (_, _, r) -> Float.max a r) 0.0 batch_curve
-  in
-  let batch_speedup = if throughput > 0.0 then batch_rps /. throughput else 0.0 in
-  Printf.printf "best batched throughput: %.0f req/s (%.2fx the sequential %.0f)\n"
-    batch_rps batch_speedup throughput;
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_serve.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "serve");
-         ("smoke", Bench_json.Bool smoke);
-         ("clients", Bench_json.Int clients);
-         ("queries_per_client", Bench_json.Int queries);
-         ("total_requests", Bench_json.Int total);
-         ("wall_s", Bench_json.float ~prec:6 wall);
-         ("throughput_rps", Bench_json.float ~prec:1 throughput);
-         ("p50_s", Bench_json.float ~prec:9 p50);
-         ("p90_s", Bench_json.float ~prec:9 p90);
-         ("p99_s", Bench_json.float ~prec:9 p99);
-         ( "max_s",
-           Bench_json.float ~prec:9
-             (if total = 0 then 0.0 else lats.(total - 1)) );
-         ( "batch_curve",
-           Bench_json.List
-             (List.map
-                (fun (size, bwall, rps) ->
-                  Bench_json.Obj
-                    [ ("batch_size", Bench_json.Int size);
-                      ("wall_s", Bench_json.float ~prec:6 bwall);
-                      ("rps", Bench_json.float ~prec:1 rps) ])
-                batch_curve) );
-         ("batch_rps", Bench_json.float ~prec:1 batch_rps);
-         ("batch_speedup", Bench_json.float ~prec:3 batch_speedup) ]);
-  Printf.printf "trajectory -> %s\n" path;
-  (* the CI gate: batching must actually pay, or the v4 frame is
-     overhead masquerading as a feature *)
-  if batch_rps <= throughput then begin
-    Printf.printf
-      "BATCH GATE FAILED: batched %.0f req/s <= sequential %.0f req/s\n"
-      batch_rps throughput;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* E19 / admin: the observability plane's cost on serve throughput     *)
-(* ------------------------------------------------------------------ *)
-
-(* A/B of the E18 workload with the admin endpoint off versus enabled
-   and scraped every 100 ms — the overhead question an operator asks
-   before pointing Prometheus at a production daemon. Each mode takes
-   the best of several runs (throughput benches are noise-limited from
-   below: slow runs measure the machine, fast runs measure the code).
-   Lands bench_out/BENCH_admin.json; the acceptance bar is <= 5%
-   throughput regression with scraping on. *)
-let admin_bench () =
-  header "E19 / admin: serve throughput with /metrics scraped every 100 ms";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let clients = if smoke then 4 else 8 in
-  (* even the smoke sweep keeps the measured window in the hundreds of
-     milliseconds: at ~25k hot req/s, a short sweep would time the
-     scheduler's jitter, not the admin plane *)
-  let queries = if smoke then 1000 else 2000 in
-  (* best-of-5: the comparison is noise-limited from below, and one
-     slow-machine episode in either column would fake a regression *)
-  let runs = 5 in
-  let run_load ~admin () =
-    let sync = Icdb_net.Sync.wrap (Server.create ()) in
-    let config =
-      { Icdb_net.Service.default_config with
-        port = 0;
-        max_connections = clients + 4;
-        workers = 4;
-        max_queue = clients * 4 }
-    in
-    let svc = Icdb_net.Service.start ~config sync in
-    let port = Icdb_net.Service.port svc in
-    let adm =
-      if admin then
-        Some (Icdb_net.Admin.start ~port:0 ~service:svc ~sync ())
-      else None
-    in
-    let scrapes = ref 0 in
-    let stop_scraper = Atomic.make false in
-    let scraper =
-      Option.map
-        (fun a ->
-          let aport = Icdb_net.Admin.port a in
-          Thread.create
-            (fun () ->
-              while not (Atomic.get stop_scraper) do
-                (match Icdb_obs.Expo.http_get ~port:aport "/metrics" with
-                | 200, body when String.length body > 0 -> incr scrapes
-                | status, _ ->
-                    failwith
-                      (Printf.sprintf "mid-load scrape answered %d" status)
-                | exception Unix.Unix_error _ -> ());
-                Thread.delay 0.1
-              done)
-            ())
-        adm
-    in
-    (* cold generation is excluded from the timed window (its cost is
-       E18's story, and its run-to-run variance would drown a 5%
-       comparison): every client generates its component, parks at the
-       barrier, and only the hit-dominated hot phase is measured *)
-    let ready = Atomic.make 0 in
-    let go = Atomic.make false in
-    let run_client k =
-      let c = Icdb_net.Client.connect ~port () in
-      let gen =
-        Printf.sprintf
-          "command:request_component; component_name:counter; \
-           attribute:(size:%d); attribute:(type:2); instance:?s"
-          (3 + k)
-      in
-      let hot =
-        [| gen; "command:function_query; function:(INC); component:?s"; gen |]
-      in
-      let exec text =
-        match Icdb_net.Client.exec c text with
-        | Ok _ -> ()
-        | Error (_, msg) -> failwith ("admin bench query failed: " ^ msg)
-      in
-      exec gen;
-      Atomic.incr ready;
-      while not (Atomic.get go) do
-        Thread.yield ()
-      done;
-      for i = 0 to queries - 1 do
-        exec hot.(i mod Array.length hot)
-      done;
-      Icdb_net.Client.close c
-    in
-    let threads = List.init clients (fun k -> Thread.create run_client k) in
-    while Atomic.get ready < clients do
-      Thread.yield ()
-    done;
-    let t0 = Unix.gettimeofday () in
-    Atomic.set go true;
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    Atomic.set stop_scraper true;
-    Option.iter Thread.join scraper;
-    Option.iter Icdb_net.Admin.stop adm;
-    Icdb_net.Service.shutdown svc;
-    (float_of_int (clients * queries) /. wall, !scrapes)
-  in
-  (* interleave the two modes so slow machine phases (GC, noisy
-     neighbors) bias both sides alike, and keep each mode's best run *)
-  let base_tp = ref 0.0 and admin_tp = ref 0.0 and scrapes = ref 0 in
-  for _ = 1 to runs do
-    let t, _ = run_load ~admin:false () in
-    if t > !base_tp then base_tp := t;
-    let t, s = run_load ~admin:true () in
-    if t > !admin_tp then admin_tp := t;
-    scrapes := !scrapes + s
-  done;
-  let base_tp = !base_tp and admin_tp = !admin_tp and scrapes = !scrapes in
-  let overhead_pct = (base_tp -. admin_tp) /. base_tp *. 100.0 in
-  Printf.printf "admin off:  %.0f req/s (best of %d)\n" base_tp runs;
-  Printf.printf "admin on:   %.0f req/s (best of %d, %d scrapes landed)\n"
-    admin_tp runs scrapes;
-  Printf.printf "overhead:   %.1f%%\n" overhead_pct;
-  Printf.printf
-    "shape checks: scrapes landed mid-load (%b), overhead <= 5%% (%b)\n"
-    (scrapes > 0) (overhead_pct <= 5.0);
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_admin.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "admin");
-         ("smoke", Bench_json.Bool smoke);
-         ("clients", Bench_json.Int clients);
-         ("queries_per_client", Bench_json.Int queries);
-         ("runs_per_mode", Bench_json.Int runs);
-         ("scrape_interval_s", Bench_json.float ~prec:3 0.1);
-         ("baseline_rps", Bench_json.float ~prec:1 base_tp);
-         ("admin_rps", Bench_json.float ~prec:1 admin_tp);
-         ("scrapes", Bench_json.Int scrapes);
-         ("overhead_pct", Bench_json.float ~prec:2 overhead_pct) ]);
-  Printf.printf "trajectory -> %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* E22 / telemetry: sampler overhead on the hot serve path             *)
-(* ------------------------------------------------------------------ *)
-
-(* The continuous-telemetry sampler runs always-on in production, so
-   its cost must be within noise of zero on the hot serve workload —
-   the same A/B discipline as E19's admin bench, with the sampler
-   deliberately run at 20 Hz (50 ms), 20x the 1 s production default,
-   so the measured bound is a hard ceiling on the default's cost.
-   Lands bench_out/BENCH_telemetry.json. *)
-let telemetry_bench () =
-  header "E22 / telemetry: serve throughput with the 20 Hz sampler on vs off";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let clients = if smoke then 4 else 8 in
-  let queries = if smoke then 1000 else 2000 in
-  let runs = 5 in
-  let sampler_period = 0.05 in
-  let run_load ~telemetry () =
-    let sync = Icdb_net.Sync.wrap (Server.create ()) in
-    let config =
-      { Icdb_net.Service.default_config with
-        port = 0;
-        max_connections = clients + 4;
-        workers = 4;
-        max_queue = clients * 4;
-        telemetry_period_s = (if telemetry then sampler_period else 0.0) }
-    in
-    let svc = Icdb_net.Service.start ~config sync in
-    let port = Icdb_net.Service.port svc in
-    (* the barrier keeps cold generation out of the timed window, as in
-       E19: clients generate, park, and only the hot phase is measured *)
-    let ready = Atomic.make 0 in
-    let go = Atomic.make false in
-    let run_client k =
-      let c = Icdb_net.Client.connect ~port () in
-      let gen =
-        Printf.sprintf
-          "command:request_component; component_name:counter; \
-           attribute:(size:%d); attribute:(type:2); instance:?s"
-          (3 + k)
-      in
-      let hot =
-        [| gen; "command:function_query; function:(INC); component:?s"; gen |]
-      in
-      let exec text =
-        match Icdb_net.Client.exec c text with
-        | Ok _ -> ()
-        | Error (_, msg) -> failwith ("telemetry bench query failed: " ^ msg)
-      in
-      exec gen;
-      Atomic.incr ready;
-      while not (Atomic.get go) do
-        Thread.yield ()
-      done;
-      for i = 0 to queries - 1 do
-        exec hot.(i mod Array.length hot)
-      done;
-      Icdb_net.Client.close c
-    in
-    let threads = List.init clients (fun k -> Thread.create run_client k) in
-    while Atomic.get ready < clients do
-      Thread.yield ()
-    done;
-    let t0 = Unix.gettimeofday () in
-    Atomic.set go true;
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    let samples =
-      match Icdb_net.Service.sampler svc with
-      | Some s -> Icdb_obs.Series.total_ticks s
-      | None -> 0
-    in
-    Icdb_net.Service.shutdown svc;
-    (float_of_int (clients * queries) /. wall, samples)
-  in
-  (* interleaved best-of-N, as in E19: slow machine phases bias both
-     columns alike, and each column keeps its best run *)
-  let base_tp = ref 0.0 and telem_tp = ref 0.0 and samples = ref 0 in
-  for _ = 1 to runs do
-    let t, _ = run_load ~telemetry:false () in
-    if t > !base_tp then base_tp := t;
-    let t, s = run_load ~telemetry:true () in
-    if t > !telem_tp then telem_tp := t;
-    samples := !samples + s
-  done;
-  let base_tp = !base_tp and telem_tp = !telem_tp and samples = !samples in
-  let overhead_pct = (base_tp -. telem_tp) /. base_tp *. 100.0 in
-  Printf.printf "sampler off: %.0f req/s (best of %d)\n" base_tp runs;
-  Printf.printf "sampler on:  %.0f req/s (best of %d, %d ticks sampled)\n"
-    telem_tp runs samples;
-  Printf.printf "overhead:    %.1f%%\n" overhead_pct;
-  Printf.printf
-    "shape checks: sampler ticked mid-load (%b), overhead <= 5%% (%b)\n"
-    (samples > 0) (overhead_pct <= 5.0);
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_telemetry.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "telemetry");
-         ("smoke", Bench_json.Bool smoke);
-         ("clients", Bench_json.Int clients);
-         ("queries_per_client", Bench_json.Int queries);
-         ("runs_per_mode", Bench_json.Int runs);
-         ("sampler_period_s", Bench_json.float ~prec:3 sampler_period);
-         ("baseline_rps", Bench_json.float ~prec:1 base_tp);
-         ("telemetry_rps", Bench_json.float ~prec:1 telem_tp);
-         ("sampler_ticks", Bench_json.Int samples);
-         ("overhead_pct", Bench_json.float ~prec:2 overhead_pct) ]);
-  Printf.printf "trajectory -> %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* E20 / repl: follower catch-up rate and propagation lag              *)
-(* ------------------------------------------------------------------ *)
-
-(* The replication plane's two operational numbers: how fast a fresh
-   follower drains a backlog (records/s through subscribe, stream and
-   replay), and how long a single committed write takes to become
-   visible on a caught-up follower (the publisher is woken by the
-   write's release of the server lock, so this is the stream's own
-   latency). Lands bench_out/BENCH_repl.json.
-   ICDB_SMOKE=1 shrinks the backlog. *)
-let repl_bench () =
-  header "E20 / repl: follower catch-up throughput and propagation lag";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let backlog = if smoke then 8 else 40 in
-  let probes = if smoke then 5 else 20 in
-  let sync = Icdb_net.Sync.wrap (Server.create ~verify:false ~durable:true ()) in
-  let svc =
-    Icdb_net.Service.start
-      ~config:{ Icdb_net.Service.default_config with port = 0 }
-      sync
-  in
-  let port = Icdb_net.Service.port svc in
-  (* distinct spec per call — a reuse-cache hit writes no journal
-     record and would make the follower look infinitely fast *)
-  let comps = [| "counter"; "adder"; "register"; "comparator" |] in
-  let gen k =
-    ignore
-      (Icdb_net.Sync.with_server sync (fun s ->
-           Server.request_component s
-             (Spec.make
-                (Spec.From_component
-                   { component = comps.(k mod 4);
-                     attributes = [ ("size", 2 + (k / 4)) ];
-                     functions = [] }))))
-  in
-  let primary_next () =
-    Icdb_net.Sync.with_server sync (fun s ->
-        match Icdb_reldb.Db.journal (Server.db s) with
-        | Some j -> Icdb_reldb.Journal.next_seq j
-        | None -> 0)
-  in
-  (* backlog first, so catch-up measures streaming + replay, not
-     generation *)
-  for k = 0 to backlog - 1 do gen k done;
-  let target = primary_next () in
-  let ws = Filename.temp_file "icdb_bench_repl" "" in
-  Sys.remove ws;
-  let rcfg = { Icdb_net.Replica.default_config with port } in
-  let t0 = Unix.gettimeofday () in
-  let replica = Icdb_net.Replica.create ~config:rcfg ~workspace:ws () in
-  Icdb_net.Replica.run replica;
-  let wait_until goal =
-    while Icdb_net.Replica.cursor replica < goal do
-      Thread.yield ();
-      Unix.sleepf 0.002
-    done
-  in
-  wait_until target;
-  let catchup_wall = Unix.gettimeofday () -. t0 in
-  let catchup_rate = float_of_int target /. catchup_wall in
-  (* then single-record propagation on the live stream *)
-  let lags = Array.make probes 0.0 in
-  for i = 0 to probes - 1 do
-    gen (backlog + i);
-    (* clock starts once the write is committed on the primary: the lag
-       measured is the stream's, not the synthesis pipeline's *)
-    let t0 = Unix.gettimeofday () in
-    wait_until (primary_next ());
-    lags.(i) <- Unix.gettimeofday () -. t0
-  done;
-  Icdb_net.Replica.stop replica;
-  Icdb_net.Service.shutdown svc;
-  Array.sort compare lags;
-  let p50 = lags.(probes / 2) and worst = lags.(probes - 1) in
-  Printf.printf "catch-up: %d records in %.3f s -> %.0f records/s\n" target
-    catchup_wall catchup_rate;
-  Printf.printf
-    "propagation (generate -> visible on follower): p50 %.1f ms, max %.1f ms\n"
-    (p50 *. 1e3) (worst *. 1e3);
-  Printf.printf "shape checks: follower caught up (%b), p50 <= max (%b)\n"
-    (Icdb_net.Replica.cursor replica >= target)
-    (p50 <= worst);
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_repl.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "repl");
-         ("smoke", Bench_json.Bool smoke);
-         ("backlog_records", Bench_json.Int target);
-         ("catchup_wall_s", Bench_json.float ~prec:6 catchup_wall);
-         ("catchup_records_per_s", Bench_json.float ~prec:1 catchup_rate);
-         ("probes", Bench_json.Int probes);
-         ("propagation_p50_s", Bench_json.float ~prec:6 p50);
-         ("propagation_max_s", Bench_json.float ~prec:6 worst) ]);
-  Printf.printf "trajectory -> %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* E23 / explore: DSE sweep throughput + indexed Pareto vs scan        *)
-(* ------------------------------------------------------------------ *)
-
-(* Two halves. First the real thing: a design-space sweep through
-   Icdb_explore.Driver against a local server, persisted into a journaled
-   store, then rerun to prove resume recomputes nothing. Then the query
-   side at scale: a synthetic exploration relation (the sweep above is
-   too small to stress the planner) answers the same PARETO statement
-   with and without the secondary index on [sweep]; the rendered rows
-   must be byte-identical and, at >= 10^4 rows, the indexed plan must be
-   at least 5x faster. Both gates exit non-zero so CI can hold the
-   line. *)
-let explore_bench () =
-  header "E23 / explore: design-space sweep + indexed Pareto queries";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let module Ax = Icdb_explore.Axis in
-  let module St = Icdb_explore.Store in
-  let module Dr = Icdb_explore.Driver in
-  let module R = Icdb_reldb in
-  let dir = out_dir () in
-
-  sub "sweep throughput (local backend, journaled store)";
-  let store_dir = Filename.concat dir "explore_store" in
-  (* cold start: a stale store would turn the sweep into a no-op *)
-  List.iter
-    (fun f ->
-      let p = Filename.concat store_dir f in
-      if Sys.file_exists p then Sys.remove p)
-    [ "explore.db"; "explore.journal" ];
-  let axes =
-    if smoke then
-      [ Ax.parse "size=2..9"; Ax.parse "strategy=fastest,cheapest,balanced";
-        Ax.parse "clock=20,none" ]
-    else
-      [ Ax.parse "size=2..13"; Ax.parse "strategy=fastest,cheapest,balanced";
-        Ax.parse "clock=10,20,none"; Ax.parse "delay=30,none" ]
-  in
-  let points = Ax.expand ~component:"counter" axes in
-  let sweep = "bench" in
-  let sweep_server = Server.create ~verify:false () in
-  let store = St.open_ store_dir in
-  let t0 = Unix.gettimeofday () in
-  let s = Dr.run ~sweep (Dr.Local sweep_server) store points in
-  let sweep_wall = Unix.gettimeofday () -. t0 in
-  let rate = float_of_int s.Dr.s_executed /. sweep_wall in
-  Printf.printf "swept %d points in %.2fs (%.1f points/s), %d failed\n"
-    s.Dr.s_executed sweep_wall rate
-    (List.length s.Dr.s_failures);
-  let s2 = Dr.run ~sweep (Dr.Local sweep_server) store points in
-  Printf.printf "rerun: %d executed, %d skipped (resume %s)\n"
-    s2.Dr.s_executed s2.Dr.s_skipped
-    (if s2.Dr.s_executed = 0 then "ok" else "BROKEN");
-  St.close store;
-  if s2.Dr.s_executed <> 0 then begin
-    Printf.eprintf "explore gate FAILED: rerun recomputed %d points\n"
-      s2.Dr.s_executed;
-    exit 1
-  end;
-
-  sub "indexed PARETO vs scan (synthetic exploration relation)";
-  let rows = if smoke then 10_000 else 40_000 in
-  let sweeps = 16 in
-  let db = R.Db.create () in
-  let tbl = R.Db.create_table db St.table_name St.schema in
-  let rng = Random.State.make [| 0x1CDB; rows |] in
-  for i = 0 to rows - 1 do
-    let area = 1000.0 +. Random.State.float rng 99000.0 in
-    let delay = 1.0 +. Random.State.float rng 99.0 in
-    R.Table.insert tbl
-      [ R.Value.Str (Printf.sprintf "k%d" i);
-        R.Value.Str (Printf.sprintf "sweep_%d" (i mod sweeps));
-        R.Value.Str "counter"; R.Value.Str "size=5"; R.Value.Str "balanced";
-        R.Value.Float 0.0; R.Value.Float 0.0;
-        R.Value.Str (Printf.sprintf "counter_%d" i);
-        R.Value.Float area; R.Value.Float delay; R.Value.Float 0.0;
-        R.Value.Int (100 + (i mod 900)); R.Value.Str "miss";
-        R.Value.Float 0.001; R.Value.Bool false; R.Value.Bool true ]
-  done;
-  let stmt =
-    Printf.sprintf "PARETO %s ON area, delay WHERE sweep = %s" St.table_name
-      (R.Sql.quote_string "sweep_7")
-  in
-  let render = function
-    | R.Sql.Relation rel ->
-        String.concat "\n"
-          (List.map
-             (fun row ->
-               String.concat "|"
-                 (Array.to_list (Array.map R.Value.to_string row)))
-             rel.R.Query.rrows)
-    | R.Sql.Affected _ -> "affected"
-  in
-  let reps = if smoke then 20 else 40 in
-  let measure () =
-    let out = ref "" in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      out := render (R.Sql.exec db stmt)
-    done;
-    ((Unix.gettimeofday () -. t0) /. float_of_int reps, !out)
-  in
-  let scan_s, scan_out = measure () in
-  (match R.Sql.exec db (Printf.sprintf "CREATE INDEX ON %s (sweep)" St.table_name) with
-  | R.Sql.Affected _ -> ()
-  | R.Sql.Relation _ -> ());
-  let indexed_s, indexed_out = measure () in
-  let identical = String.equal scan_out indexed_out in
-  let speedup = scan_s /. indexed_s in
-  Printf.printf
-    "%d rows over %d sweeps: scan %.3f ms, indexed %.3f ms, speedup %.1fx, \
-     results identical: %b\n"
-    rows sweeps (scan_s *. 1e3) (indexed_s *. 1e3) speedup identical;
-  if not identical then begin
-    Printf.eprintf "explore gate FAILED: indexed PARETO differs from scan\n";
-    exit 1
-  end;
-  if rows >= 10_000 && speedup < 5.0 then begin
-    Printf.eprintf
-      "explore gate FAILED: indexed PARETO only %.1fx faster at %d rows\n"
-      speedup rows;
-    exit 1
-  end;
-
-  let path = Filename.concat dir "BENCH_explore.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "explore");
-         ("smoke", Bench_json.Bool smoke);
-         ("sweep_points", Bench_json.Int s.Dr.s_executed);
-         ("sweep_wall_s", Bench_json.float ~prec:3 sweep_wall);
-         ("sweep_points_per_s", Bench_json.float ~prec:1 rate);
-         ("resume_reexecuted", Bench_json.Int s2.Dr.s_executed);
-         ("pareto_rows", Bench_json.Int rows);
-         ("pareto_scan_s", Bench_json.float ~prec:6 scan_s);
-         ("pareto_indexed_s", Bench_json.float ~prec:6 indexed_s);
-         ("pareto_speedup", Bench_json.float ~prec:1 speedup);
-         ("results_identical", Bench_json.Bool identical) ]);
-  Printf.printf "trajectory -> %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* E24 / queryobs: EXPLAIN ANALYZE overhead + stats-driven index pick  *)
-(* ------------------------------------------------------------------ *)
-
-(* Two gates on the query-observability plane. (a) EXPLAIN ANALYZE must
-   cost at most 10% over plain execution of the same statement — the
-   per-node clocks and row counters ride along with the query, so the
-   instrumented path has to stay cheap enough to use in production.
-   (b) With two candidate equality indexes of very different
-   selectivity, post-ANALYZE statistics must route the probe through
-   the smaller bucket — asserted from the per-index hit counters, with
-   the rows byte-identical to an unindexed scan of the same data. *)
-let queryobs_bench () =
-  header "E24 / queryobs: EXPLAIN ANALYZE overhead + stats-driven index pick";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let module R = Icdb_reldb in
-  let dir = out_dir () in
-  let rows = if smoke then 10_000 else 40_000 in
-  let groups = 2 in
-  let keys = rows / 40 in
-  let schema =
-    [ ("key", R.Value.Tstr); ("grp", R.Value.Tstr); ("val", R.Value.Tint) ]
-  in
-  let fill db =
-    let tbl = R.Db.create_table db "skewed" schema in
-    for i = 0 to rows - 1 do
-      R.Table.insert tbl
-        [ R.Value.Str (Printf.sprintf "k%d" (i mod keys));
-          R.Value.Str (Printf.sprintf "g%d" (i mod groups));
-          R.Value.Int i ]
-    done;
-    tbl
-  in
-  let db = R.Db.create () in
-  let _ = fill db in
-  let render = function
-    | R.Sql.Relation rel ->
-        String.concat "\n"
-          (List.map
-             (fun row ->
-               String.concat "|"
-                 (Array.to_list (Array.map R.Value.to_string row)))
-             rel.R.Query.rrows)
-    | R.Sql.Affected _ -> "affected"
-  in
-
-  sub "EXPLAIN ANALYZE overhead (scan-shaped SELECT)";
-  (* a scan with a refilter: enough work per call that the per-node
-     clocks and counters are measured against a realistic statement,
-     not an empty one *)
-  let stmt = "SELECT key, val FROM skewed WHERE grp = 'g1' LIMIT 64" in
-  let reps = if smoke then 100 else 60 in
-  let batch stmt =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do ignore (R.Sql.exec db stmt) done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  (* paired rounds, median ratio: the two arms run back-to-back inside
-     each round, so machine-level drift (frequency scaling, contending
-     load) hits both and cancels in the per-round ratio; the median of
-     the ratios is then robust to the odd slow round, where per-arm
-     minima taken independently are not *)
-  let rounds = 8 in
-  let plain_s = ref infinity and analyze_s = ref infinity in
-  ignore (batch stmt);
-  ignore (batch ("EXPLAIN ANALYZE " ^ stmt));
-  let ratios =
-    List.init rounds (fun _ ->
-        let p = batch stmt in
-        let a = batch ("EXPLAIN ANALYZE " ^ stmt) in
-        plain_s := Float.min !plain_s p;
-        analyze_s := Float.min !analyze_s a;
-        a /. p)
-  in
-  let sorted = List.sort compare ratios in
-  let median =
-    (List.nth sorted ((rounds - 1) / 2) +. List.nth sorted (rounds / 2)) /. 2.0
-  in
-  let plain_s = !plain_s and analyze_s = !analyze_s in
-  let overhead_pct = (median -. 1.0) *. 100.0 in
-  Printf.printf
-    "%d rows: plain %.3f ms, explain-analyze %.3f ms, overhead %.1f%%\n" rows
-    (plain_s *. 1e3) (analyze_s *. 1e3) overhead_pct;
-  if overhead_pct > 10.0 then begin
-    Printf.eprintf
-      "queryobs gate FAILED: EXPLAIN ANALYZE overhead %.1f%% > 10%%\n"
-      overhead_pct;
-    exit 1
-  end;
-
-  sub "statistics-driven index choice (skewed selectivities)";
-  (* both columns indexed: grp buckets hold rows/2 entries, key buckets
-     rows/keys — statistics must send the probe through key *)
-  ignore (R.Sql.exec db "CREATE INDEX ON skewed (grp)");
-  ignore (R.Sql.exec db "CREATE INDEX ON skewed (key)");
-  ignore (R.Sql.exec db "ANALYZE skewed");
-  let probe = "SELECT key, grp, val FROM skewed WHERE grp = 'g1' AND key = 'k7'" in
-  let hits col =
-    Icdb_obs.Metrics.counter_value
-      (Icdb_obs.Metrics.counter (Printf.sprintf "reldb.index.skewed.%s.hits" col))
-  in
-  let key_before = hits "key" and grp_before = hits "grp" in
-  let indexed_out = render (R.Sql.exec db probe) in
-  let key_hits = hits "key" - key_before
-  and grp_hits = hits "grp" - grp_before in
-  let plan_text = render (R.Sql.exec db ("EXPLAIN ANALYZE " ^ probe)) in
-  let contains needle hay =
-    let nn = String.length needle and nh = String.length hay in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    at 0
-  in
-  (* the scan baseline runs on a second database holding the same rows
-     and no indexes, so "byte-identical" compares full executions, not
-     a code path sharing the probe *)
-  let db_scan = R.Db.create () in
-  let _ = fill db_scan in
-  let scan_out = render (R.Sql.exec db_scan probe) in
-  let identical = String.equal indexed_out scan_out in
-  Printf.printf
-    "probe hits: key +%d, grp +%d; plan uses stats: %b; results identical: %b\n"
-    key_hits grp_hits
-    (contains "stats" plan_text)
-    identical;
-  print_endline plan_text;
-  if key_hits < 1 || grp_hits > 0 then begin
-    Printf.eprintf
-      "queryobs gate FAILED: probe used grp (+%d) instead of key (+%d)\n"
-      grp_hits key_hits;
-    exit 1
-  end;
-  if not (contains "Index Probe" plan_text && contains "stats" plan_text
-          && contains "actual" plan_text) then begin
-    Printf.eprintf "queryobs gate FAILED: plan text missing probe/stats/actuals:\n%s\n"
-      plan_text;
-    exit 1
-  end;
-  if not identical then begin
-    Printf.eprintf "queryobs gate FAILED: indexed probe differs from scan\n";
-    exit 1
-  end;
-
-  let path = Filename.concat dir "BENCH_queryobs.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "queryobs");
-         ("smoke", Bench_json.Bool smoke);
-         ("rows", Bench_json.Int rows);
-         ("plain_s", Bench_json.float ~prec:6 plain_s);
-         ("explain_analyze_s", Bench_json.float ~prec:6 analyze_s);
-         ("overhead_pct", Bench_json.float ~prec:1 overhead_pct);
-         ("key_index_hits", Bench_json.Int key_hits);
-         ("grp_index_hits", Bench_json.Int grp_hits);
-         ("results_identical", Bench_json.Bool identical) ]);
-  Printf.printf "trajectory -> %s\n" path
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1783,11 +712,7 @@ let experiments =
     ("fig11", fig11); ("fig12", fig12); ("fig13", fig13);
     ("tab_instq", tab_instq); ("tab_connect", tab_connect);
     ("ablation", ablation); ("ablation_synth", ablation_synth); ("hls", hls);
-    ("wallclock", wallclock); ("cache", cache_bench);
-    ("phases", phases_bench); ("serve", serve_bench); ("admin", admin_bench);
-    ("telemetry", telemetry_bench); ("repl", repl_bench);
-    ("explore", explore_bench); ("queryobs", queryobs_bench);
-    ("bechamel", bechamel) ]
+    ("wallclock", wallclock); ("gates", Gates.run); ("bechamel", bechamel) ]
 
 let () =
   match Array.to_list Sys.argv with

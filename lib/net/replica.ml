@@ -58,6 +58,10 @@ type t = {
   sync : Sync.t;
   stop_flag : bool Atomic.t;
   mutable thread : Thread.t option;
+  (* The self-pipe the streaming thread waits on next to its socket and
+     in its reconnect backoff, open while the thread runs: [stop] writes
+     it rather than waiting out a select timeout. *)
+  mutable stop_pipe : (Unix.file_descr * Unix.file_descr) option;
   (* Loop → readiness signalling; single-word reads, no lock needed. *)
   mutable connected : bool;
   mutable primary_next : int;     (* primary next_seq from the last batch *)
@@ -229,6 +233,7 @@ let create ?(verify = false) ?(config = default_config) ~workspace () =
       sync;
       stop_flag = Atomic.make false;
       thread = None;
+      stop_pipe = None;
       connected = false;
       primary_next = -1;
       caught_up_at = now ();
@@ -317,8 +322,9 @@ let resync_from_checkpoint t fd co_cursor co_files =
   ignore (update_lag t)
 
 (* One connected session: subscribe at the local cursor, then pump
-   pushed frames until the stream breaks or goes silent. *)
-let session t =
+   pushed frames until the stream breaks or goes silent, or [stop]
+   writes [stop_r]. *)
+let session t stop_r =
   let cursor = local_next t in
   let c =
     Client.connect ~host:t.rcfg.host ~port:t.rcfg.port ~retries:0
@@ -343,13 +349,14 @@ let session t =
       let last_frame = ref (now ()) in
       let rec pump () =
         if not (Atomic.get t.stop_flag) then begin
-          (match Unix.select [ fd ] [] [] 1.0 with
+          (match Unix.select [ fd; stop_r ] [] [] 1.0 with
            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
            | [], _, _ ->
                if now () -. !last_frame > grace then
                  raise
                    (Reconnect
                       (Printf.sprintf "stream silent for %.0f s" grace))
+           | ready, _, _ when not (List.mem fd ready) -> () (* stopping *)
            | _ -> (
                match Wire.read_response fd with
                | Error e ->
@@ -372,18 +379,17 @@ let session t =
       in
       pump ())
 
-(* Sleep [total] in small slices so [stop] stays responsive. *)
-let interruptible_sleep t total =
-  let deadline = now () +. total in
-  while (not (Atomic.get t.stop_flag)) && now () < deadline do
-    Unix.sleepf 0.05
-  done
+(* Sleep [total] seconds, or until [stop] writes [stop_r]. *)
+let backoff stop_r total =
+  match Unix.select [ stop_r ] [] [] total with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let loop t =
+let loop t stop_r =
   let delay = ref t.rcfg.backoff_s in
   while not (Atomic.get t.stop_flag) do
     let t0 = now () in
-    (try session t with
+    (try session t stop_r with
      | Reconnect reason ->
          Event.warn "repl: stream interrupted: %s; reconnecting" reason
      | Repl_error msg | Client.Net_error msg ->
@@ -404,7 +410,7 @@ let loop t =
       Metrics.incr c_reconnects;
       (* a session that lived a while earns a fresh backoff *)
       if now () -. t0 > 5.0 then delay := t.rcfg.backoff_s;
-      interruptible_sleep t (!delay +. Random.float (0.25 *. !delay));
+      backoff stop_r (!delay +. Random.float (0.25 *. !delay));
       delay := Float.min 5.0 (2.0 *. !delay)
     end
   done
@@ -415,12 +421,23 @@ let run t =
   | None ->
       t.started_at <- now ();
       t.caught_up_at <- now ();
-      t.thread <- Some (Thread.create loop t)
+      let stop_r, stop_w = Unix.pipe ~cloexec:true () in
+      t.stop_pipe <- Some (stop_r, stop_w);
+      t.thread <- Some (Thread.create (loop t) stop_r)
 
 let stop t =
   Atomic.set t.stop_flag true;
+  (match t.stop_pipe with
+   | Some (_, w) -> (
+       try ignore (Unix.write_substring w "x" 0 1) with Unix.Unix_error _ -> ())
+   | None -> ());
   (match t.thread with Some th -> Thread.join th | None -> ());
-  t.thread <- None
+  t.thread <- None;
+  (match t.stop_pipe with
+   | Some (r, w) ->
+       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r; w ]
+   | None -> ());
+  t.stop_pipe <- None
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

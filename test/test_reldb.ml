@@ -515,13 +515,24 @@ let test_sql_dominated_is_complement () =
   check Alcotest.(list string) "dominated" [ "d"; "e" ] (names dom);
   check Alcotest.int "partition" 6 (Query.count front + Query.count dom)
 
+let counter_value name =
+  Icdb_obs.Metrics.counter_value (Icdb_obs.Metrics.counter name)
+
 let test_sql_pareto_where_limit () =
   let db = pareto_db () in
   (* restricting to g2 changes the frontier: f dominates e *)
-  let r = run_select db "PARETO pts ON area, delay WHERE grp = 'g2'" in
+  let stmt = "PARETO pts ON area, delay WHERE grp = 'g2'" in
+  let r = run_select db stmt in
   check Alcotest.(list string) "per-group frontier" [ "f" ] (names r);
   let r2 = run_select db "PARETO pts ON area, delay LIMIT 2" in
-  check Alcotest.(list string) "limit after frontier" [ "a"; "b" ] (names r2)
+  check Alcotest.(list string) "limit after frontier" [ "a"; "b" ] (names r2);
+  (* indexed ≡ scan: one probe of the grp index finds the same frontier *)
+  ignore (Sql.exec db "CREATE INDEX ON pts (grp)");
+  let hits = counter_value "reldb.index.pts.grp.hits" in
+  check Alcotest.(list string) "indexed frontier" (names r)
+    (names (run_select db stmt));
+  check Alcotest.int "one index probe" (hits + 1)
+    (counter_value "reldb.index.pts.grp.hits")
 
 let test_sql_pareto_non_numeric () =
   try
@@ -566,9 +577,6 @@ let plan_lines db stmt =
     (fun row ->
       match row.(0) with Value.Str s -> s | v -> Value.to_string v)
     (run_select db stmt).Query.rrows
-
-let counter_value name =
-  Icdb_obs.Metrics.counter_value (Icdb_obs.Metrics.counter name)
 
 (* The rendered plan text is a stable, golden surface: CI greps and the
    docs both quote it verbatim. *)

@@ -538,6 +538,25 @@ let test_dead_follower_sender_exits () =
   done;
   wait_for ~what:"the senders to exit" (fun () -> thread_count () <= before)
 
+(* [stop] wakes the streaming thread through its self-pipe: a caught-up
+   follower idle in its pump, which waits up to a second for the next
+   frame, stops at once. *)
+let test_stop_is_prompt () =
+  with_primary @@ fun _psvc pport psync ->
+  with_client ~port:pport (fun c -> generate c "counter" 3);
+  let ws = fresh_dir "icdb_repl_stop" in
+  let rcfg = { Replica.default_config with port = pport } in
+  let replica = Replica.create ~config:rcfg ~workspace:ws () in
+  Fun.protect ~finally:(fun () -> Replica.stop replica) @@ fun () ->
+  Replica.run replica;
+  wait_caught_up replica psync;
+  let t0 = Unix.gettimeofday () in
+  Replica.stop replica;
+  let took = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool
+    (Printf.sprintf "stopped in %.3f s, under 0.3 s" took)
+    true (took < 0.3)
+
 let () =
   Alcotest.run "repl"
     [ ( "replication",
@@ -553,4 +572,5 @@ let () =
           Alcotest.test_case "retry without a later write" `Quick
             test_retry_without_later_write;
           Alcotest.test_case "dead follower's sender exits" `Quick
-            test_dead_follower_sender_exits ] ) ]
+            test_dead_follower_sender_exits;
+          Alcotest.test_case "stop is prompt" `Quick test_stop_is_prompt ] ) ]
