@@ -1,4 +1,4 @@
-(* Ratio gates: five A/B checks, each the median of paired per-round
+(* Ratio gates: six A/B checks, each the median of paired per-round
    time ratios B/A against a bar. Run: dune exec bench/main.exe -- gates
 
      batch    hot Batch frames of 25 vs hot single calls          < 1
@@ -6,6 +6,8 @@
      admin    one /metrics scrape per ~0.1 s round vs none      <= 1.05
      explain  EXPLAIN ANALYZE vs the plain statement            <= 1.10
      indexed  PARETO through an index vs a scan, same rows      <= 0.2
+     verify   Equiv.check vs the scalar enumeration, multiplier 6,
+              both equivalent                                   <= 0.1
 
    Exits non-zero when a median misses its bar, a side check fails or an arm raises. *)
 
@@ -180,6 +182,18 @@ let indexed_gate () =
       let same = !scanned <> [] && !scanned = !probed in
       (same, Printf.sprintf ", %d frontier rows, identical %b" (List.length !scanned) same))
 
+(* Multiplier 6 (12 inputs), through the word modes vs one vector at a time. *)
+let verify_gate () =
+  let module E = Icdb_sim.Equiv in
+  let c = Option.get (Icdb_genus.Component.find "multiplier") in
+  let flat = Icdb_iif.Builtin.expand_exn c.implementation (c.params_of [ ("size", 6) ]) in
+  let nl = Generator.milo.synthesize flat and results = ref [] in
+  let arm check () = time (fun () -> results := check flat nl :: !results) in
+  gate ~bar:"<= 0.1" ~rounds:11 (fun m -> m <= 0.1) (arm E.check_combinational)
+    (arm (fun f n -> E.check f n)) ~side:(fun () ->
+      let ok = List.for_all (( = ) E.Equivalent) !results in
+      (ok, Printf.sprintf ", %d checks equivalent %b" (List.length !results) ok))
+
 let run () =
   (* a wedged arm fails the step: SIGALRM's default action exits non-zero *)
   ignore (Unix.alarm 600);
@@ -192,7 +206,7 @@ let run () =
       [ ("batch", batch_gate);
         ("sampler", side_gate ~what:"ticks" ~telemetry_period_s:0.05 sampler);
         ("admin", side_gate ~what:"scrapes" scraper);
-        ("explain", explain_gate); ("indexed", indexed_gate) ]
+        ("explain", explain_gate); ("indexed", indexed_gate); ("verify", verify_gate) ]
   in
   ignore (Unix.alarm 0);
   if failed <> [] then (

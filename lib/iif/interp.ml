@@ -14,7 +14,9 @@
 
    [create] numbers every net of the design and compiles each equation
    once into a tree over net numbers; values, clock history and latch
-   state live in arrays indexed by net. *)
+   state live in arrays indexed by net. [words] orders the equations of
+   a purely combinational design once more, for evaluation 63 input
+   vectors at a time. *)
 
 open Flat
 
@@ -53,7 +55,7 @@ type t = {
   name : string;
   ids : (string, int) Hashtbl.t;       (* net name -> number *)
   inputs : (string, int) Hashtbl.t;    (* primary input -> number *)
-  outputs : (string * int) list;
+  outputs : (string * int) array;
   elements : element array;            (* Comb and Latch, in equation order *)
   regs : reg array;                    (* Ff, in equation order *)
   limit : int;                         (* settle passes before Unstable *)
@@ -218,7 +220,7 @@ let create flat =
   in
   let inputs = Hashtbl.create 16 in
   List.iter (fun n -> Hashtbl.replace inputs n (id n)) flat.finputs;
-  let outputs = List.map (fun n -> (n, id n)) flat.foutputs in
+  let outputs = Array.of_list (List.map (fun n -> (n, id n)) flat.foutputs) in
   let elements = ref [] and regs = ref [] in
   List.iter
     (function
@@ -272,4 +274,95 @@ let poke st net v =
   | Some i -> st.values.(i) <- v
   | None -> Hashtbl.replace st.others net v
 
-let outputs st = List.map (fun (o, i) -> (o, st.values.(i))) st.outputs
+let outputs st = Array.fold_right (fun (o, i) acc -> (o, st.values.(i)) :: acc) st.outputs []
+
+let output st k = st.values.(snd st.outputs.(k))
+
+(* ------------------------------------------------------------------ *)
+(* Word mode                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A design of combinational equations only, with no tri-state or
+   wired-or, each net driven at most once, no input driven and no
+   cycle, settles to a function of its present inputs alone. Its
+   equations are evaluated once each, in [order], over [lanes]: one int
+   per net whose lane l holds the net's value under the l-th of up to
+   63 input vectors. *)
+type words = { sim : t; order : (int * expr) array; lanes : int array }
+
+exception Not_words
+
+let words st =
+  let build () =
+    if st.regs <> [||] then raise Not_words;
+    let combs =
+      Array.map
+        (function
+          | Comb { target; rhs } -> (target, rhs) | Latch _ -> raise Not_words)
+        st.elements
+    in
+    (* driver.(net): the equation driving [net]; -1 for none, -2 for an input *)
+    let driver = Array.make (Array.length st.values) (-1) in
+    Hashtbl.iter (fun _ i -> driver.(i) <- -2) st.inputs;
+    Array.iteri
+      (fun k (target, _) ->
+        if driver.(target) <> -1 then raise Not_words;
+        driver.(target) <- k)
+      combs;
+    let rec reads acc = function
+      | Const _ -> acc
+      | Net i -> i :: acc
+      | Not e -> reads acc e
+      | And es | Or es -> List.fold_left reads acc es
+      | Xor (a, b) | Xnor (a, b) -> reads (reads acc a) b
+      | Tri _ | Wor _ -> raise Not_words
+    in
+    (* depth first; mark: 0 unvisited, 1 on the current path, 2 placed *)
+    let mark = Array.make (Array.length combs) 0 and order = ref [] in
+    let rec visit k =
+      if mark.(k) = 1 then raise Not_words;
+      if mark.(k) = 0 then begin
+        mark.(k) <- 1;
+        List.iter
+          (fun i -> if driver.(i) >= 0 then visit driver.(i))
+          (reads [] (snd combs.(k)));
+        mark.(k) <- 2;
+        order := combs.(k) :: !order
+      end
+    in
+    Array.iteri (fun k _ -> visit k) combs;
+    { sim = st; order = Array.of_list (List.rev !order);
+      lanes = Array.make (Array.length st.values) 0 }
+  in
+  match build () with w -> Some w | exception Not_words -> None
+
+let rec eval_word w e =
+  match e with
+  | Const b -> if b then -1 else 0
+  | Net i -> Array.unsafe_get w i
+  | Not e -> lnot (eval_word w e)
+  | And es -> all_words w (-1) es
+  | Or es -> any_words w 0 es
+  | Xor (a, b) -> eval_word w a lxor eval_word w b
+  | Xnor (a, b) -> lnot (eval_word w a lxor eval_word w b)
+  | Tri _ | Wor _ -> invalid_arg "Interp: interface operator in word mode"
+
+and all_words w acc = function
+  | [] -> acc
+  | e :: es -> all_words w (acc land eval_word w e) es
+
+and any_words w acc = function
+  | [] -> acc
+  | e :: es -> any_words w (acc lor eval_word w e) es
+
+let step_words ws inputs =
+  List.iter
+    (fun (n, x) ->
+      match Hashtbl.find_opt ws.sim.inputs n with
+      | Some i -> ws.lanes.(i) <- x
+      | None ->
+          invalid_arg (Printf.sprintf "Interp.step_words: %s is not an input" n))
+    inputs;
+  Array.iter (fun (target, rhs) -> ws.lanes.(target) <- eval_word ws.lanes rhs) ws.order
+
+let output_words ws = Array.map (fun (_, i) -> ws.lanes.(i)) ws.sim.outputs

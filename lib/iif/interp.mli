@@ -29,3 +29,26 @@ val poke : t -> string -> bool -> unit
 
 val outputs : t -> (string * bool) list
 (** All primary outputs, in declaration order. *)
+
+val output : t -> int -> bool
+(** [output st k]: the current value of the [k]-th primary output. *)
+
+(** {2 Word mode}
+
+    Each net is one native int whose lane [l] holds the net's value
+    under the [l]-th of up to 63 input vectors. *)
+
+type words
+
+val words : t -> words option
+(** The design's equations in topological order, when it has only
+    combinational equations, no tri-state or wired-or, every net driven
+    at most once, no input driven and no cycle: then every net is a
+    function of the present inputs alone. [None] otherwise. *)
+
+val step_words : words -> (string * int) list -> unit
+(** Set input words, then evaluate every equation once.
+    @raise Invalid_argument if a named net is not an input. *)
+
+val output_words : words -> int array
+(** The primary outputs' words, in declaration order. *)

@@ -62,9 +62,12 @@ let minterms t =
   done;
   !out
 
+(* Set bits of all 63 bits of an int. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 (* Literal count of an implicant: variables not masked out. *)
 let implicant_literals t i = t.nvars - popcount i.mask
@@ -139,52 +142,81 @@ let prime_implicants nvars minterms =
 
 (* Cover selection: essential primes first, then greedily pick the prime
    covering the most remaining minterms (ties broken by fewer literals,
-   then lexicographically, for determinism). *)
+   then lexicographically, for determinism). Minterm sets are bitsets,
+   63 minterms per word: [remaining] is dense, and each prime's cover
+   holds only the words it touches, so a prime's gain is the popcount
+   of its cover words against [remaining]. *)
+
+(* A cover's nonzero words: word [at.(k)] of the bitset is [set.(k)]. *)
+type cover = { at : int array; set : int array }
+
 let select_cover nvars primes minterms =
-  ignore nvars;
-  let remaining = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace remaining m ()) minterms;
-  let chosen = ref [] in
-  let choose p =
-    chosen := p :: !chosen;
-    List.iter
-      (fun m -> if covers p m then Hashtbl.remove remaining m)
-      minterms
+  let primes = Array.of_list primes in
+  let space = 1 lsl nvars in
+  let remaining = Array.make ((space + 62) / 63) 0 in
+  let add set m = set.(m / 63) <- set.(m / 63) lor (1 lsl (m mod 63)) in
+  List.iter (add remaining) minterms;
+  (* per minterm: how many primes cover it, and the last one seen *)
+  let count = Array.make space 0 and only = Array.make space 0 in
+  let scratch = Array.make (Array.length remaining) 0 in
+  let covers =
+    Array.mapi
+      (fun j p ->
+        let base = p.bits land lnot p.mask in
+        let touched = ref [] in
+        let rec mark sub =
+          let m = base lor sub in
+          count.(m) <- count.(m) + 1;
+          only.(m) <- j;
+          if scratch.(m / 63) = 0 then touched := (m / 63) :: !touched;
+          add scratch m;
+          if sub <> 0 then mark ((sub - 1) land p.mask)
+        in
+        mark p.mask;
+        let at = Array.of_list !touched in
+        let set = Array.map (fun w -> scratch.(w)) at in
+        Array.iter (fun w -> scratch.(w) <- 0) at;
+        { at; set })
+      primes
+  in
+  let gain j =
+    let c = covers.(j) and g = ref 0 in
+    for k = 0 to Array.length c.at - 1 do
+      g := !g + popcount (c.set.(k) land remaining.(c.at.(k)))
+    done;
+    !g
+  in
+  let left = ref (List.length minterms) and chosen = ref [] in
+  let choose j =
+    let c = covers.(j) in
+    left := !left - gain j;
+    Array.iteri (fun k w -> remaining.(w) <- remaining.(w) land lnot c.set.(k)) c.at;
+    chosen := primes.(j) :: !chosen
   in
   (* essential primes *)
   List.iter
     (fun m ->
-      if Hashtbl.mem remaining m then begin
-        match List.filter (fun p -> covers p m) primes with
-        | [ p ] when not (List.mem p !chosen) -> choose p
-        | _ -> ()
-      end)
+      if count.(m) = 1 && remaining.(m / 63) land (1 lsl (m mod 63)) <> 0 then
+        choose only.(m))
     minterms;
   (* greedy for the rest *)
-  while Hashtbl.length remaining > 0 do
-    let best = ref None in
-    List.iter
-      (fun p ->
-        if not (List.mem p !chosen) then begin
-          let gain =
-            Hashtbl.fold
-              (fun m () acc -> if covers p m then acc + 1 else acc)
-              remaining 0
-          in
-          if gain > 0 then
-            match !best with
-            | None -> best := Some (p, gain)
-            | Some (bp, bg) ->
-                if gain > bg
-                   || (gain = bg && popcount p.mask > popcount bp.mask)
-                   || (gain = bg && popcount p.mask = popcount bp.mask
-                       && compare p bp < 0)
-                then best := Some (p, gain)
-        end)
+  while !left > 0 do
+    let best = ref (-1) and best_gain = ref 0 in
+    Array.iteri
+      (fun j p ->
+        let g = gain j in
+        if g > 0 then
+          if !best < 0 then (best := j; best_gain := g)
+          else
+            let bp = primes.(!best) in
+            if g > !best_gain
+               || (g = !best_gain && popcount p.mask > popcount bp.mask)
+               || (g = !best_gain && popcount p.mask = popcount bp.mask
+                   && compare p bp < 0)
+            then (best := j; best_gain := g))
       primes;
-    match !best with
-    | Some (p, _) -> choose p
-    | None -> Hashtbl.reset remaining (* unreachable: primes cover all *)
+    if !best < 0 then left := 0 (* unreachable: primes cover all *)
+    else choose !best
   done;
   List.rev !chosen
 

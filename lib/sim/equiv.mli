@@ -29,8 +29,27 @@ val check_sequential :
   ?steps:int -> ?seed:int -> Icdb_iif.Flat.t -> Icdb_netlist.Netlist.t -> result
 (** Randomized sequence check, deterministic in [seed]. *)
 
+type method_ =
+  | Words
+      (** exhaustive, 63 vectors per native int through both simulators'
+          word modes *)
+  | Vectors  (** exhaustive, one vector at a time: {!check_combinational} *)
+  | Sequence  (** the randomized sequence: {!check_sequential} *)
+
+val method_of : Icdb_iif.Flat.t -> Icdb_netlist.Netlist.t -> method_
+(** The method {!check} takes on this pair; [check] dispatches on the
+    same decision. A combinational design of at most {!max_exhaustive}
+    inputs takes [Words] when both sides settle to a function of the
+    present inputs ({!Icdb_iif.Interp.words} and {!Gate_sim.words}),
+    have the same input names, and the same output names in the same
+    order; otherwise [Vectors]. Every other design takes [Sequence].
+    Raises what {!Gate_sim.create} raises on a malformed netlist. *)
+
 val check :
   ?steps:int -> ?seed:int -> Icdb_iif.Flat.t -> Icdb_netlist.Netlist.t -> result
-(** Exhaustive when possible, randomized otherwise. *)
+(** Exhaustive when possible, randomized otherwise, by {!method_of}.
+    [Words] returns exactly what [Vectors] would: [Equivalent], or the
+    record of the first mismatching vector, which it replays through the
+    scalar simulators. *)
 
 val result_to_string : result -> string

@@ -9,7 +9,8 @@
 
    [create] numbers every net and compiles each cell function once
    into a tree over net numbers; values, clock history and latch state
-   live in arrays. *)
+   live in arrays. [words] orders the cells of a purely combinational
+   netlist once more, for evaluation 63 input vectors at a time. *)
 
 open Icdb_netlist
 open Icdb_logic
@@ -54,7 +55,7 @@ type t = {
   name : string;
   ids : (string, int) Hashtbl.t;       (* net name -> number *)
   inputs : (string, int) Hashtbl.t;    (* primary input -> number *)
-  outputs : (string * int) list;
+  outputs : (string * int) array;
   elements : element array;  (* non-FF cells in instance order, tri groups last *)
   regs : ff array;                     (* flip-flops in instance order *)
   limit : int;                         (* settle passes before failing *)
@@ -189,7 +190,7 @@ let create (nl : Netlist.t) =
   in
   let inputs = Hashtbl.create 16 in
   List.iter (fun n -> Hashtbl.replace inputs n (id n)) nl.Netlist.inputs;
-  let outputs = List.map (fun n -> (n, id n)) nl.Netlist.outputs in
+  let outputs = Array.of_list (List.map (fun n -> (n, id n)) nl.Netlist.outputs) in
   let nets = Hashtbl.length ids and ninsts = Hashtbl.length insts in
   let nregs = List.length !regs in
   let values = Array.make nets false in
@@ -304,9 +305,107 @@ let step st inputs =
     inputs;
   update_registers st
 
-let outputs st = List.map (fun (o, i) -> (o, st.values.(i))) st.outputs
+let outputs st = Array.fold_right (fun (o, i) acc -> (o, st.values.(i)) :: acc) st.outputs []
+
+let output st k = st.values.(snd st.outputs.(k))
 
 let poke st net v =
   match Hashtbl.find_opt st.ids net with
   | Some i -> set st i v
   | None -> Hashtbl.replace st.others net v
+
+(* ------------------------------------------------------------------ *)
+(* Word mode                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A netlist of combinational cells only, with no tri-state group, no
+   pin that raises, each net driven at most once, no input driven, no
+   constant driven other than by its own tie cell, and no cycle, settles
+   to a function of its present inputs alone. Its cells are evaluated
+   once each, in [order], over [lanes]: one int per net whose lane l
+   holds the net's value under the l-th of up to 63 input vectors. *)
+type words = { sim : t; order : (int * expr) array; lanes : int array }
+
+exception Not_words
+
+let words st =
+  let build () =
+    if st.regs <> [||] then raise Not_words;
+    (* a tie cell on its own constant net writes what the net holds *)
+    let cells =
+      Array.of_list
+        (List.filter_map
+           (function
+             | Comb { out; fn } when out > const1 -> Some (out, fn)
+             | Comb { out; fn = Const b } when b = (out = const1) -> None
+             | Comb _ | Latch _ | Tri_group _ -> raise Not_words)
+           (Array.to_list st.elements))
+    in
+    (* driver.(net): the cell driving [net]; -1 for none, -2 for an input
+       or a constant *)
+    let driver = Array.make (Array.length st.values) (-1) in
+    driver.(0) <- -2;
+    driver.(const1) <- -2;
+    Hashtbl.iter (fun _ i -> driver.(i) <- -2) st.inputs;
+    Array.iteri
+      (fun k (out, _) ->
+        if driver.(out) <> -1 then raise Not_words;
+        driver.(out) <- k)
+      cells;
+    let rec reads acc = function
+      | Const _ -> acc
+      | Net i -> i :: acc
+      | Not e -> reads acc e
+      | And es | Or es -> List.fold_left reads acc es
+      | Xor (a, b) | Xnor (a, b) -> reads (reads acc a) b
+      | Raise _ -> raise Not_words
+    in
+    (* depth first; mark: 0 unvisited, 1 on the current path, 2 placed *)
+    let mark = Array.make (Array.length cells) 0 and order = ref [] in
+    let rec visit k =
+      if mark.(k) = 1 then raise Not_words;
+      if mark.(k) = 0 then begin
+        mark.(k) <- 1;
+        List.iter
+          (fun i -> if driver.(i) >= 0 then visit driver.(i))
+          (reads [] (snd cells.(k)));
+        mark.(k) <- 2;
+        order := cells.(k) :: !order
+      end
+    in
+    Array.iteri (fun k _ -> visit k) cells;
+    let lanes = Array.make (Array.length st.values) 0 in
+    lanes.(const1) <- -1;
+    { sim = st; order = Array.of_list (List.rev !order); lanes }
+  in
+  match build () with w -> Some w | exception Not_words -> None
+
+let rec eval_word w e =
+  match e with
+  | Const b -> if b then -1 else 0
+  | Net i -> Array.unsafe_get w i
+  | Raise msg -> raise (Sim_error msg)
+  | Not e -> lnot (eval_word w e)
+  | And es -> all_words w (-1) es
+  | Or es -> any_words w 0 es
+  | Xor (a, b) -> eval_word w a lxor eval_word w b
+  | Xnor (a, b) -> lnot (eval_word w a lxor eval_word w b)
+
+and all_words w acc = function
+  | [] -> acc
+  | e :: es -> all_words w (acc land eval_word w e) es
+
+and any_words w acc = function
+  | [] -> acc
+  | e :: es -> any_words w (acc lor eval_word w e) es
+
+let step_words ws inputs =
+  List.iter
+    (fun (n, x) ->
+      match Hashtbl.find_opt ws.sim.inputs n with
+      | Some i -> if i > const1 then ws.lanes.(i) <- x
+      | None -> fail "Gate_sim.step_words: %s is not an input of %s" n ws.sim.name)
+    inputs;
+  Array.iter (fun (out, fn) -> ws.lanes.(out) <- eval_word ws.lanes fn) ws.order
+
+let output_words ws = Array.map (fun (_, i) -> ws.lanes.(i)) ws.sim.outputs

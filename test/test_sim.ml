@@ -323,12 +323,24 @@ let equiv_result =
 let assign names bits =
   List.mapi (fun i n -> (n, bits.[i] = '1')) names
 
+let inst name cell conns =
+  { Netlist.inst_name = name; cell; size = 1.0; conns }
+
+let netlist ?(inputs = [ "a" ]) ?(outputs = [ "y" ]) name instances =
+  { Netlist.name; inputs; outputs; instances }
+
+let flat ?(inputs = [ "a" ]) ?(outputs = [ "y" ]) name eqs =
+  { Flat.fname = name; finputs = inputs; foutputs = outputs;
+    finternals = []; fequations = eqs }
+
 (* A one-gate mutant of a mapped design must fail verification at
-   exactly the step, inputs and outputs recorded here; the adder is
-   enumerated exhaustively, the counter driven by the seeded random
-   sequence through its DFF_SR registers. *)
+   exactly the step, inputs and outputs recorded here; the adder and the
+   ALUs are enumerated exhaustively, the counter driven by the seeded
+   random sequence through its DFF_SR registers. The ALU records fail
+   past lane 62, in the second and fifth words of 63 vectors. *)
 let test_equiv_mutants () =
   let adder = Builtin.expand_exn "ADDER" [ ("size", 4) ] in
+  let alu size = Builtin.expand_exn "ALU" [ ("size", size) ] in
   let counter =
     Builtin.expand_exn "COUNTER"
       [ ("size", 4); ("type", 2); ("load", 1); ("enable", 0);
@@ -352,18 +364,31 @@ let test_equiv_mutants () =
         (Equiv.check flat (mutate_first from_cell to_cell nl)))
     [ ("adder", adder, "XOR2", "XNOR2", 0, "000000000", "00000", "10000");
       ("adder", adder, "NAND2", "NOR2", 16, "000010000", "10000", "11000");
+      ("alu 3", alu 3, "NAND2", "NOR2", 72, "000100100", "1000", "0000");
+      ("alu 3", alu 3, "OAI21", "AOI21", 258, "010000001", "0100", "0110");
+      ("alu 2", alu 2, "OAI21", "AOI21", 66, "0100001", "010", "011");
       ("counter", counter, "NAND2", "NOR2", 3, "10101111", "001001", "101001");
-      ("counter", counter, "XOR2", "XNOR2", 8, "00001111", "110001", "100001") ]
-
-let inst name cell conns =
-  { Netlist.inst_name = name; cell; size = 1.0; conns }
-
-let netlist ?(inputs = [ "a" ]) ?(outputs = [ "y" ]) name instances =
-  { Netlist.name; inputs; outputs; instances }
-
-let flat ?(inputs = [ "a" ]) ?(outputs = [ "y" ]) name eqs =
-  { Flat.fname = name; finputs = inputs; foutputs = outputs;
-    finternals = []; fequations = eqs }
+      ("counter", counter, "XOR2", "XNOR2", 8, "00001111", "110001", "100001") ];
+  (* Netlists stuck at 0 against an AND: of all 9 inputs, first failing
+     at vector 511, lane 7 of the ninth and last word; of a1-a6 among 7
+     inputs, at vector 126, lane 0 of the two-lane last word. *)
+  let stuck_and inputs anded =
+    ( flat ~inputs "and"
+        [ Flat.Comb
+            { target = "y"; rhs = Flat.Fand (List.map (fun n -> Flat.Fnet n) anded) } ],
+      netlist ~inputs "and" [ inst "u" "TIE0" [ ("Y", "y") ] ] )
+  in
+  let names k = List.init k (Printf.sprintf "a%d") in
+  List.iter
+    (fun (name, (spec, nl), step, ins) ->
+      check equiv_result name
+        (Equiv.Mismatch
+           { step; inputs = assign spec.Flat.finputs ins;
+             expected = [ ("y", true) ]; got = [ ("y", false) ] })
+        (Equiv.check spec nl))
+    [ ("and9 stuck at 0", stuck_and (names 9) (names 9), 511, "111111111");
+      ("and of a1-a6 stuck at 0", stuck_and (names 7) (List.tl (names 7)), 126,
+       "0111111") ]
 
 (* Step a spec and a netlist with the same inputs through [cases]
    (input bits, expected value of [net]). *)
@@ -749,6 +774,267 @@ let test_diff_components () =
       ("SHIFT_REGISTER", [ ("size", 4) ]);
       ("REGISTER_FILE", [ ("size", 2); ("abits", 2) ]) ]
 
+(* ------------------------------------------------------------------ *)
+(* Word mode: which designs take it, and exactness against the scalar  *)
+(* enumeration                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A catalogue component's flat design, as a request expands it. *)
+let component name attrs =
+  let c = Option.get (Icdb_genus.Component.find name) in
+  Builtin.expand_exn c.Icdb_genus.Component.implementation
+    (c.Icdb_genus.Component.params_of attrs)
+
+let equiv_method =
+  Alcotest.testable
+    (fun fmt m ->
+      Format.pp_print_string fmt
+        (match m with
+         | Equiv.Words -> "words"
+         | Equiv.Vectors -> "vectors"
+         | Equiv.Sequence -> "sequence"))
+    ( = )
+
+(* The method [check] takes on each design. Both exhaustive methods
+   return the same results by design, so only this pins a silent fall
+   back to the scalar loop. The hand-built pairs make one side
+   ineligible at a time. *)
+let test_words_method () =
+  let catalogue name size m =
+    let f = component name [ ("size", size) ] in
+    (Printf.sprintf "%s %d" name size, f, synthesize f, m)
+  in
+  let sized name sizes = List.map (fun n -> catalogue name n Equiv.Words) sizes in
+  let ringed =
+    let f = component "adder" [ ("size", 2) ] in
+    let nl = synthesize f in
+    ( "adder 2 plus an inverter ring", f,
+      { nl with
+        Netlist.instances =
+          inst "ring0" "INV" [ ("A", "ring_n"); ("Y", "ring_n") ]
+          :: nl.Netlist.instances },
+      Equiv.Vectors )
+  in
+  let a = Flat.Fnet "a" and b = Flat.Fnet "b" in
+  let comb target rhs = Flat.Comb { target; rhs } in
+  let ab = [ "a"; "b" ] in
+  let buf_ay = inst "u" "BUF" [ ("A", "a"); ("Y", "y") ] in
+  let hand label ?(inputs = [ "a" ]) ?(outputs = [ "y" ]) ?(nl_inputs = inputs)
+      ?(nl_outputs = outputs) eqs cells m =
+    ( label, flat ~inputs ~outputs label eqs,
+      netlist ~inputs:nl_inputs ~outputs:nl_outputs label cells, m )
+  in
+  List.iter
+    (fun (label, spec, nl, expected) ->
+      check equiv_method label expected (Equiv.method_of spec nl))
+    (sized "adder" [ 1; 2; 3; 4; 5; 6 ]
+    @ sized "alu" [ 1; 2; 3; 4 ]
+    @ sized "comparator" [ 1; 2; 3; 4 ]
+    @ sized "multiplier" [ 1; 2; 3; 4; 5; 6 ]
+    @ sized "mux_scl" [ 1; 2; 3; 4; 5; 6 ]
+    @ [ catalogue "adder_subtractor" 6 Equiv.Words;
+        catalogue "barrel_shifter" 8 Equiv.Words;
+        catalogue "bus" 4 Equiv.Vectors;
+        catalogue "tri_state" 4 Equiv.Vectors;
+        catalogue "counter" 4 Equiv.Sequence;
+        catalogue "mux_scl" 8 Equiv.Sequence;
+        ringed;
+        hand "plain" [ comb "y" a ] [ buf_ay ] Equiv.Words;
+        hand "constant cell" [ comb "y" (Flat.Fconst false) ]
+          [ inst "u" "TIE0" [ ("Y", "y") ] ] Equiv.Words;
+        hand "tri-state group" ~inputs:[ "a"; "b"; "e" ]
+          [ comb "y" (Flat.Fand [ a; Flat.Fnet "e" ]) ]
+          [ inst "t" "TBUF" [ ("A", "a"); ("EN", "e"); ("Y", "y") ] ]
+          Equiv.Vectors;
+        hand "latch cell" ~inputs:ab [ comb "y" a ]
+          [ inst "l" "LATCH_H" [ ("D", "a"); ("G", "b"); ("Q", "y") ] ]
+          Equiv.Vectors;
+        hand "flip-flop cell" ~inputs:ab [ comb "y" a ]
+          [ inst "f" "DFF" [ ("D", "a"); ("CK", "b"); ("Q", "y") ] ]
+          Equiv.Vectors;
+        hand "unconnected pin" ~inputs:ab [ comb "y" (Flat.Fand [ a; b ]) ]
+          [ inst "u" "AND2" [ ("A", "a"); ("Y", "y") ] ] Equiv.Vectors;
+        hand "cell cycle" ~inputs:ab [ comb "y" (Flat.Fand [ a; b ]) ]
+          [ inst "u" "AND2" [ ("A", "a"); ("B", "w"); ("Y", "y") ];
+            inst "v" "AND2" [ ("A", "b"); ("B", "y"); ("Y", "w") ] ]
+          Equiv.Vectors;
+        hand "two cell drivers" [ comb "y" a ]
+          [ buf_ay; inst "v" "BUF" [ ("A", "a"); ("Y", "y") ] ] Equiv.Vectors;
+        hand "cell drives an input" ~inputs:ab [ comb "y" a ]
+          [ buf_ay; inst "v" "BUF" [ ("A", "b"); ("Y", "a") ] ] Equiv.Vectors;
+        hand "cell drives a constant" [ comb "y" a ]
+          [ buf_ay; inst "v" "INV" [ ("A", "a"); ("Y", "$const0") ] ]
+          Equiv.Vectors;
+        hand "spec wired-or" ~inputs:ab
+          [ comb "y" (Flat.Fwor [ Flat.Ftri { data = a; enable = b } ]) ]
+          [ inst "u" "AND2" [ ("A", "a"); ("B", "b"); ("Y", "y") ] ]
+          Equiv.Vectors;
+        hand "spec tri-state" ~inputs:ab
+          [ comb "y" (Flat.Ftri { data = a; enable = b }) ]
+          [ inst "u" "AND2" [ ("A", "a"); ("B", "b"); ("Y", "y") ] ]
+          Equiv.Vectors;
+        hand "spec cycle" ~inputs:ab
+          [ comb "y" (Flat.Fand [ a; Flat.Fnet "w" ]);
+            comb "w" (Flat.Fand [ b; Flat.Fnet "y" ]) ]
+          [ buf_ay ] Equiv.Vectors;
+        hand "two spec drivers" [ comb "y" a; comb "y" (Flat.Fnot a) ] [ buf_ay ]
+          Equiv.Vectors;
+        hand "spec drives an input" ~inputs:ab [ comb "a" b; comb "y" a ]
+          [ buf_ay ] Equiv.Vectors;
+        hand "spec latch" ~inputs:ab
+          [ Flat.Latch { target = "y"; data = a; transparent_high = true; gate = b } ]
+          [ buf_ay ] Equiv.Sequence;
+        hand "other input names" ~nl_inputs:[ "b" ] [ comb "y" a ]
+          [ inst "u" "BUF" [ ("A", "b"); ("Y", "y") ] ] Equiv.Vectors;
+        hand "inputs reordered" ~inputs:ab ~nl_inputs:[ "b"; "a" ]
+          [ comb "y" a ] [ buf_ay ] Equiv.Words;
+        hand "outputs reordered" ~outputs:[ "y"; "z" ] ~nl_outputs:[ "z"; "y" ]
+          [ comb "y" a; comb "z" (Flat.Fnot a) ]
+          [ buf_ay; inst "v" "INV" [ ("A", "a"); ("Y", "z") ] ] Equiv.Vectors ]);
+  (* a sequential spec takes [Sequence] before its word mode is asked
+     for, so the spec's own refusal of state is pinned here *)
+  List.iter
+    (fun (label, eq) ->
+      check Alcotest.bool label true
+        (Option.is_none (Interp.words (Interp.create (flat ~inputs:ab label [ eq ])))))
+    [ ("spec latch has no word mode",
+       Flat.Latch { target = "y"; data = a; transparent_high = true; gate = b });
+      ("spec flip-flop has no word mode",
+       Flat.Ff { target = "y"; data = a; rising = true; clock = b; asyncs = [] }) ]
+
+(* [check] against the scalar enumeration: the same result, or the same
+   exception. *)
+let same_as_scalar label (spec : Flat.t) nl =
+  let run f = match f () with r -> Ok r | exception e -> Error (Printexc.to_string e) in
+  let scalar = run (fun () -> Equiv.check_combinational spec nl) in
+  let got = run (fun () -> Equiv.check spec nl) in
+  check
+    (Alcotest.result equiv_result Alcotest.string)
+    label scalar got;
+  scalar
+
+(* Every combinational catalogue component of sizes 1-6 with at most
+   14 inputs. Sizes a component cannot take (extract below 4) do not
+   expand and are skipped. *)
+let test_words_catalogue () =
+  let checked = ref 0 in
+  List.iter
+    (fun (c : Icdb_genus.Component.t) ->
+      let sizes =
+        if List.mem_assoc "size" c.Icdb_genus.Component.attributes then
+          [ 1; 2; 3; 4; 5; 6 ]
+        else [ 0 ]
+      in
+      List.iter
+        (fun size ->
+          let attrs = if size = 0 then [] else [ ("size", size) ] in
+          match component c.Icdb_genus.Component.comp_name attrs with
+          | exception Expander.Expand_error _ -> ()
+          | f ->
+              if Equiv.is_combinational f
+                 && List.length f.Flat.finputs <= Equiv.max_exhaustive
+              then begin
+                incr checked;
+                ignore
+                  (same_as_scalar
+                     (Printf.sprintf "%s %d" c.Icdb_genus.Component.comp_name size)
+                     f (synthesize f))
+              end)
+        sizes)
+    Icdb_genus.Component.all;
+  check Alcotest.bool "at least 100 designs" true (!checked >= 100)
+
+(* [random_fexpr] without interface operators or delays. *)
+let rec two_valued = function
+  | Flat.Ftri { data; enable } -> Flat.Fand [ two_valued data; two_valued enable ]
+  | Flat.Fwor es -> Flat.For_ (List.map two_valued es)
+  | Flat.Fdelay (e, _) -> two_valued e
+  | Flat.Fnot e -> Flat.Fnot (two_valued e)
+  | Flat.Fbuf e -> Flat.Fbuf (two_valued e)
+  | Flat.Fschmitt e -> Flat.Fschmitt (two_valued e)
+  | Flat.Fand es -> Flat.Fand (List.map two_valued es)
+  | Flat.For_ es -> Flat.For_ (List.map two_valued es)
+  | Flat.Fxor (a, b) -> Flat.Fxor (two_valued a, two_valued b)
+  | Flat.Fxnor (a, b) -> Flat.Fxnor (two_valued a, two_valued b)
+  | (Flat.Fconst _ | Flat.Fnet _) as e -> e
+
+(* Random acyclic combinational designs of 0-12 inputs: up to 5 inputs
+   take one word, 6 and more several, the last of them partial. Each is
+   checked against its synthesized netlist and against one-cell mutants
+   of it, each mutant one cell swapped for another of the same pins (a
+   tie cell swapped onto the other constant raises in both). The pinned
+   records of [test_equiv_mutants] fail in a partial last word, which
+   random mutants do not reach. *)
+let test_words_differential () =
+  let st = Random.State.make [| 0x3057 |] in
+  let seen = Hashtbl.create 8 in
+  let partners (cell : Celllib.t) =
+    List.filter
+      (fun (c : Celllib.t) ->
+        c.Celllib.kind = Celllib.Comb && c.Celllib.inputs = cell.Celllib.inputs
+        && c.Celllib.cname <> cell.Celllib.cname)
+      Celllib.all
+  in
+  for case = 1 to 150 do
+    let n = Random.State.int st 13 in
+    let inputs = List.init n (Printf.sprintf "i%d") in
+    let nets = List.init (1 + Random.State.int st 8) (Printf.sprintf "n%d") in
+    let eqs =
+      List.mapi
+        (fun k target ->
+          let early = inputs @ List.filteri (fun j _ -> j < k) nets in
+          Flat.Comb
+            { target;
+              rhs =
+                (if early = [] then Flat.Fconst (Random.State.bool st)
+                 else two_valued (random_fexpr st ~early ~all:early 3)) })
+        nets
+    in
+    let outputs = List.filter (fun _ -> Random.State.bool st) nets in
+    let spec =
+      { Flat.fname = Printf.sprintf "comb%d" case; finputs = inputs;
+        foutputs = (if outputs = [] then [ List.hd nets ] else outputs);
+        finternals = nets; fequations = eqs }
+    in
+    let nl = synthesize spec in
+    let label = Printf.sprintf "case %d (%d inputs)" case n in
+    Hashtbl.replace seen (if n <= 5 then "one word" else "several words") ();
+    check equiv_method (label ^ " method") Equiv.Words (Equiv.method_of spec nl);
+    ignore (same_as_scalar label spec nl);
+    let swappable =
+      List.filter_map
+        (fun (i : Netlist.instance) ->
+          match Option.map partners (Celllib.find i.Netlist.cell) with
+          | Some (_ :: _ as cells) -> Some (i, cells)
+          | _ -> None)
+        nl.Netlist.instances
+    in
+    if swappable <> [] then
+      for m = 1 to 3 do
+        let target, cells = pick st swappable in
+        let into = (pick st cells).Celllib.cname in
+        let mutant =
+          { nl with
+            Netlist.instances =
+              List.map
+                (fun i -> if i == target then { i with Netlist.cell = into } else i)
+                nl.Netlist.instances }
+        in
+        let kind =
+          match same_as_scalar (Printf.sprintf "%s mutant %d" label m) spec mutant with
+          | Ok Equiv.Equivalent -> "equivalent"
+          | Ok (Equiv.Mismatch { step; _ }) ->
+              if step >= 63 then "mismatch past lane 62"
+              else "mismatch in the first word"
+          | Error _ -> "raised"
+        in
+        Hashtbl.replace seen kind ()
+      done
+  done;
+  check_kinds seen
+    [ "equivalent"; "mismatch in the first word"; "mismatch past lane 62";
+      "one word"; "raised"; "several words" ]
+
 let () =
   Alcotest.run "sim4+stats"
     [ ("xsim",
@@ -787,6 +1073,10 @@ let () =
        [ Alcotest.test_case "random flat designs" `Quick test_diff_random_flats;
          Alcotest.test_case "random netlists" `Quick test_diff_random_netlists;
          Alcotest.test_case "catalogue designs" `Quick test_diff_components ]);
+      ("word mode",
+       [ Alcotest.test_case "method per design" `Quick test_words_method;
+         Alcotest.test_case "catalogue = scalar" `Quick test_words_catalogue;
+         Alcotest.test_case "seeded differential" `Quick test_words_differential ]);
       ("stats",
        [ Alcotest.test_case "adder depth grows" `Quick test_stats_adder_depth_grows;
          Alcotest.test_case "counter sequential" `Quick
