@@ -802,11 +802,6 @@ let workload_spec component size strategy =
     (Spec.From_component
        { component; attributes = [ ("size", size) ]; functions = [] })
 
-(* Run a small representative workload with tracing on and print the
-   per-phase latency table, the slowest requests, and every counter the
-   instrumented code bumped. With --connect, instead fetch the live
-   metrics of a running icdbd — cache counters, net.* admission
-   counters and the per-wire-command latency histograms. *)
 (* The machine-readable flavour of `stats --connect`: the same wire
    payload through the deterministic emitter, so CI scripts and `icdb
    top` share one schema with bench_out artifacts. Field order is fixed
@@ -849,7 +844,8 @@ let stats_payload_json (p : Icdb_net.Wire.stats_payload) =
                      Json.Obj
                        (List.map
                           (fun (n, s) -> (n, Json.float s))
-                          e.sl_phases) ) ])
+                          e.sl_phases) );
+                   ("plan", Json.Str e.sl_plan) ])
              p.sp_slow) ) ]
 
 let remote_stats ~json endpoint =
@@ -876,6 +872,12 @@ let remote_stats ~json endpoint =
           Printf.eprintf "error: %s\n" msg;
           exit 1)
 
+(* Run a small representative workload with tracing on and print the
+   cache counters, then the metrics registry: every counter the
+   instrumented code bumped and one span.<name> latency histogram per
+   phase. With --connect, instead fetch the live metrics of a running
+   icdbd — cache counters, net.* admission counters, the
+   per-wire-command latency histograms and the slow-request log. *)
 let stats component requests connect json =
   match connect with
   | Some endpoint -> remote_stats ~json endpoint
@@ -903,29 +905,6 @@ let stats component requests connect json =
     "cache: %d hit(s), %d reuse hit(s), %d miss(es); memo: %d/%d\n\n"
     st.Server.st_hits st.Server.st_reuse_hits st.Server.st_misses
     st.Server.st_memo_hits st.Server.st_memo_misses;
-  Printf.printf "%-20s %7s %10s %10s %10s %10s\n" "phase" "count" "p50" "p90"
-    "p99" "total";
-  print_endline (String.make 72 '-');
-  List.iter
-    (fun (s : Icdb_obs.Metrics.summary) ->
-      Printf.printf "%-20s %7d %10s %10s %10s %10s\n" s.Icdb_obs.Metrics.s_name
-        s.Icdb_obs.Metrics.s_count
-        (Icdb_obs.Metrics.pretty_s s.Icdb_obs.Metrics.s_p50)
-        (Icdb_obs.Metrics.pretty_s s.Icdb_obs.Metrics.s_p90)
-        (Icdb_obs.Metrics.pretty_s s.Icdb_obs.Metrics.s_p99)
-        (Icdb_obs.Metrics.pretty_s s.Icdb_obs.Metrics.s_sum))
-    st.Server.st_phases;
-  (match st.Server.st_slow with
-   | [] -> ()
-   | slow ->
-       Printf.printf "\nslowest requests:\n";
-       List.iter
-         (fun (sr : Server.slow_request) ->
-           Printf.printf "  %s  %s -> %s\n"
-             (Icdb_obs.Metrics.pretty_s sr.Server.sr_seconds)
-             sr.Server.sr_key sr.Server.sr_id)
-         slow);
-  print_newline ();
   print_string (Icdb_obs.Metrics.render ())
 
 (* Live terminal cockpit over a running icdbd: poll the wire Stats
@@ -1246,8 +1225,8 @@ let connect_cmd =
     Arg.(value & flag
          & info [ "batch" ]
              ~doc:"Send all $(b,--exec) commands as one pipelined Batch \
-                   frame (wire v4): one round trip, per-entry results in \
-                   order, failures isolated to their entry")
+                   frame: one round trip, per-entry results in order, \
+                   failures isolated to their entry")
   in
   Cmd.v
     (Cmd.info "connect"
@@ -1345,9 +1324,9 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Run a traced workload and print per-phase latency histograms, \
-             the slowest requests, and all pipeline counters; or --connect \
-             to a live icdbd")
+       ~doc:"Run a traced workload and print the cache counters, all \
+             pipeline counters and the per-phase span.<name> latency \
+             histograms; or --connect to a live icdbd")
     Term.(const stats $ component $ requests $ connect $ json)
 
 let top_cmd =
@@ -1618,7 +1597,7 @@ let explore_cmd =
   let connect =
     Arg.(value & opt (some string) None
          & info [ "connect" ]
-             ~doc:"Drive a running icdbd through the pipelined wire-v4 \
+             ~doc:"Drive a running icdbd through the pipelined wire \
                    batch path instead of an in-process server"
              ~docv:"HOST:PORT")
   in

@@ -66,15 +66,6 @@ type design_book = {
   mutable tx_created : string list option;  (* instances made in the open tx *)
 }
 
-(* One traced request retained for `icdb stats`: the canonical spec
-   key, how long it took end to end, and where the time went. *)
-type slow_request = {
-  sr_key : string;
-  sr_id : string;                    (* instance id it resolved to *)
-  sr_seconds : float;
-  sr_phases : (string * float) list; (* span name -> total seconds *)
-}
-
 type t = {
   db : Db.t;
   workspace : string;
@@ -93,15 +84,9 @@ type t = {
   mutable misses : int;      (* requests that ran the generation path *)
   mutable memo_hits : int;   (* synthesis memo hits *)
   mutable memo_misses : int;
-  phase_hist : (string, Metrics.histogram) Hashtbl.t;
-      (* per-server latency histogram per span name; filled only while
-         tracing is enabled *)
-  mutable slow : slow_request list;  (* slowest traced requests, desc *)
   verify : bool;  (* simulate generated netlists against their IIF spec *)
   durable : bool; (* journal + snapshot live in the workspace *)
 }
-
-let slow_capacity = 8
 
 type stats = {
   st_hits : int;
@@ -111,10 +96,6 @@ type stats = {
   st_entries : int;
   st_memo_hits : int;
   st_memo_misses : int;
-  st_phases : Metrics.summary list;
-      (* per-phase latency (p50/p90/p99), one entry per span name seen
-         by this server; empty until a request runs with tracing on *)
-  st_slow : slow_request list;  (* slowest traced requests, desc *)
 }
 
 let stats t =
@@ -124,12 +105,7 @@ let stats t =
     st_evictions = Lru.evictions t.cache;
     st_entries = Lru.length t.cache;
     st_memo_hits = t.memo_hits;
-    st_memo_misses = t.memo_misses;
-    st_phases =
-      Hashtbl.fold (fun _ h acc -> Metrics.summary h :: acc) t.phase_hist []
-      |> List.sort (fun a b ->
-             String.compare a.Metrics.s_name b.Metrics.s_name);
-    st_slow = t.slow }
+    st_memo_misses = t.memo_misses }
 
 let default_cache_capacity = 512
 
@@ -307,8 +283,6 @@ let create ?(verify = true) ?workspace ?(durable = false)
       seq = 0;
       hits = 0; reuse_hits = 0; misses = 0;
       memo_hits = 0; memo_misses = 0;
-      phase_hist = Hashtbl.create 16;
-      slow = [];
       verify;
       durable }
   in
@@ -814,58 +788,14 @@ let request_inner t (spec : Spec.t) key =
         t.designs;
       inst)
 
-(* Per-request trace capture: every span the request produced feeds the
-   server's per-phase histograms, and the slowest requests are kept
-   with their phase breakdown for `icdb stats`. *)
-let record_request_trace t key mark inst =
-  let spans = Trace.since mark in
-  List.iter
-    (fun (s : Trace.span) ->
-      let h =
-        match Hashtbl.find_opt t.phase_hist s.Trace.sname with
-        | Some h -> h
-        | None ->
-            let h = Metrics.make_histogram s.Trace.sname in
-            Hashtbl.replace t.phase_hist s.Trace.sname h;
-            h
-      in
-      Metrics.observe h (Icdb_obs.Clock.ns_to_s s.Trace.sdur_ns))
-    spans;
-  match
-    List.find_opt (fun (s : Trace.span) -> s.Trace.sname = "request") spans
-  with
-  | None -> ()
-  | Some root ->
-      let entry =
-        { sr_key = key;
-          sr_id = inst.Instance.id;
-          sr_seconds = Icdb_obs.Clock.ns_to_s root.Trace.sdur_ns;
-          sr_phases = Trace.phase_totals spans }
-      in
-      t.slow <-
-        List.sort (fun a b -> compare b.sr_seconds a.sr_seconds)
-          (entry :: t.slow)
-        |> List.filteri (fun i _ -> i < slow_capacity)
-
 let request_component t (spec : Spec.t) =
   Metrics.incr m_requests;
   let spec = Spec.canonical spec in
   let key = Spec.cache_key spec in
-  if not (Trace.enabled ()) then (
-    try request_inner t spec key
-    with e ->
-      Metrics.incr m_request_errors;
-      raise e)
-  else begin
-    let mark = Trace.finished_count () in
-    match Trace.with_span "request" (fun () -> request_inner t spec key) with
-    | inst ->
-        record_request_trace t key mark inst;
-        inst
-    | exception e ->
-        Metrics.incr m_request_errors;
-        raise e
-  end
+  try Trace.with_span "request" (fun () -> request_inner t spec key)
+  with e ->
+    Metrics.incr m_request_errors;
+    raise e
 
 (* ------------------------------------------------------------------ *)
 (* Instance queries (§3.3)                                             *)
@@ -1153,8 +1083,6 @@ let reopen ?(verify = true)
       seq = 0;
       hits = 0; reuse_hits = 0; misses = 0;
       memo_hits = 0; memo_misses = 0;
-      phase_hist = Hashtbl.create 16;
-      slow = [];
       verify;
       durable = true }
   in

@@ -92,18 +92,12 @@ val request_component : t -> Spec.t -> Instance.t
 
 (** {1 Observability}
 
-    Requests served while {!Icdb_obs.Trace} is enabled additionally
-    feed per-phase latency histograms and a bounded list of the slowest
-    requests, both reported through {!stats}. With tracing disabled
-    only the plain counters are maintained (the per-request cost is a
-    handful of integer increments). *)
-
-type slow_request = {
-  sr_key : string;      (** canonical cache key of the request *)
-  sr_id : string;       (** instance id that answered it *)
-  sr_seconds : float;   (** wall-clock duration of the request span *)
-  sr_phases : (string * float) list;  (** per-phase seconds, by name *)
-}
+    Each {!request_component} runs inside a [request] span. While
+    {!Icdb_obs.Trace} is enabled, every finished span feeds the
+    process-wide [span.<name>] latency histogram in
+    {!Icdb_obs.Metrics}; with tracing disabled only the plain counters
+    below are maintained (the per-request cost is a handful of integer
+    increments). *)
 
 type stats = {
   st_hits : int;        (** exact-specification cache hits *)
@@ -113,9 +107,6 @@ type stats = {
   st_entries : int;     (** live exact-cache entries *)
   st_memo_hits : int;   (** synthesis-memo hits (pipeline skipped) *)
   st_memo_misses : int; (** synthesis-memo misses (pipeline ran) *)
-  st_phases : Icdb_obs.Metrics.summary list;
-      (** per-phase latency summaries (traced requests only), by name *)
-  st_slow : slow_request list;  (** slowest traced requests, worst first *)
 }
 
 val stats : t -> stats

@@ -9,8 +9,6 @@ open Icdb_obs
 
 type t = { http : Expo.http }
 
-let json_escape = Trace.json_escape
-
 let spans_json spans =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\"spans\":[";
@@ -20,9 +18,9 @@ let spans_json spans =
       Printf.bprintf buf
         "\n{\"id\":%d,\"name\":\"%s\",\"tag\":%s,\"start_ns\":%d,\"dur_ns\":%d}"
         s.Trace.sid
-        (json_escape s.Trace.sname)
+        (Json.escape s.Trace.sname)
         (match s.Trace.stag with
-         | Some tag -> Printf.sprintf "\"%s\"" (json_escape tag)
+         | Some tag -> Printf.sprintf "\"%s\"" (Json.escape tag)
          | None -> "null")
         s.Trace.sstart_ns s.Trace.sdur_ns)
     spans;
@@ -38,16 +36,16 @@ let slow_json entries =
       Printf.bprintf buf
         "\n{\"cmd\":\"%s\",\"trace\":\"%s\",\"conn\":%d,\"seconds\":%.6f,\
          \"cache\":\"%s\",\"phases\":{"
-        (json_escape e.Wire.sl_cmd)
-        (json_escape e.Wire.sl_trace)
+        (Json.escape e.Wire.sl_cmd)
+        (Json.escape e.Wire.sl_trace)
         e.Wire.sl_conn e.Wire.sl_seconds
-        (json_escape e.Wire.sl_cache);
+        (Json.escape e.Wire.sl_cache);
       List.iteri
         (fun j (name, seconds) ->
           if j > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf "\"%s\":%.6f" (json_escape name) seconds)
+          Printf.bprintf buf "\"%s\":%.6f" (Json.escape name) seconds)
         e.Wire.sl_phases;
-      Printf.bprintf buf "},\"plan\":\"%s\"}" (json_escape e.Wire.sl_plan))
+      Printf.bprintf buf "},\"plan\":\"%s\"}" (Json.escape e.Wire.sl_plan))
     entries;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

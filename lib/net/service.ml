@@ -212,13 +212,18 @@ let slow_cap = 64
 
 let now () = Unix.gettimeofday ()
 
-(* Newest-first snapshot of the slow ring. Caller holds [slock]. *)
-let slow_snapshot_locked t =
-  List.filter_map
-    (fun i ->
-      let idx = t.slow_next - 1 - i in
-      if idx < 0 then None else t.slow_ring.(idx mod slow_cap))
-    (List.init slow_cap Fun.id)
+(* Newest-first snapshot of the slow ring. *)
+let slow_log t =
+  Mutex.lock t.slock;
+  let l =
+    List.filter_map
+      (fun i ->
+        let idx = t.slow_next - 1 - i in
+        if idx < 0 then None else t.slow_ring.(idx mod slow_cap))
+      (List.init slow_cap Fun.id)
+  in
+  Mutex.unlock t.slock;
+  l
 
 (* Primary-side replication metrics. *)
 let g_followers = Metrics.gauge "repl.followers"
@@ -531,13 +536,7 @@ let stats_payload t =
           hs_p99 = s.Metrics.s_p99 })
       (Metrics.histograms reg)
   in
-  let sp_slow =
-    Mutex.lock t.slock;
-    let l = slow_snapshot_locked t in
-    Mutex.unlock t.slock;
-    l
-  in
-  { Wire.sp_text; sp_counters; sp_gauges; sp_hists; sp_slow }
+  { Wire.sp_text; sp_counters; sp_gauges; sp_hists; sp_slow = slow_log t }
 
 let remote_of_span (s : Trace.span) =
   { Wire.rs_id = s.Trace.sid;
@@ -1355,9 +1354,8 @@ let rec drain_frames t conn =
                (Option.value id ~default:0)
                Wire.Version_mismatch
                (Printf.sprintf
-                  "peer speaks protocol v%d, this server speaks v%d (v%d \
-                   still accepted)"
-                  got Wire.protocol_version Wire.min_protocol_version);
+                  "peer speaks protocol v%d, this server speaks v%d" got
+                  Wire.protocol_version);
              conn.last_active <- now ()
          | Error (Wire.Malformed { id; reason }) ->
              Metrics.incr t.ctr.c_malformed;
@@ -1927,12 +1925,6 @@ let queue_depth t =
   let n = Queue.length t.queue in
   Mutex.unlock t.qlock;
   n
-
-let slow_log t =
-  Mutex.lock t.slock;
-  let l = slow_snapshot_locked t in
-  Mutex.unlock t.slock;
-  l
 
 let follower_count t =
   Mutex.lock t.rlock;

@@ -16,7 +16,7 @@
    server can answer them with a structured error frame and keep the
    connection. *)
 
-(* Per-request context, carried by every v2 request immediately after
+(* Per-request context, carried by every request immediately after
    the id: a client-generated trace id (empty = none) and a deadline in
    seconds (0 = none). Putting it in a fixed position rather than per
    kind means a future request kind inherits propagation for free. *)
@@ -24,7 +24,7 @@ type ctx = { trace_id : string; timeout_s : float }
 
 let no_ctx = { trace_id = ""; timeout_s = 0.0 }
 
-(* One element of a v4 [Batch] request: the two query shapes a client
+(* One element of a [Batch] request: the two query shapes a client
    can vectorize. Each entry succeeds or fails on its own. *)
 type batch_entry =
   | Bcql of { text : string; args : Icdb_cql.Exec.arg list }
@@ -74,7 +74,7 @@ type slow_entry = {
   sl_seconds : float;
   sl_cache : string;
   sl_phases : (string * float) list;
-  sl_plan : string;  (* v5: query-plan summary, "" when none / pre-v5 *)
+  sl_plan : string;  (* query-plan summary, "" when none *)
 }
 
 (* The full metrics registry plus the slow-query log: everything the
@@ -101,7 +101,7 @@ type error_code =
   | Internal
   | Read_only
 
-(* The per-entry outcome inside a v4 [Batch_reply]: one [batch_result]
+(* The per-entry outcome inside a [Batch_reply]: one [batch_result]
    per [batch_entry], in request order, errors isolated to their
    entry. *)
 type batch_result =
@@ -117,7 +117,7 @@ and resp =
   | Spans of remote_span list
   | Error of { code : error_code; message : string }
   | Bye
-  (* v3 replication stream frames. After a [Subscribe] the connection
+  (* Replication stream frames. After a [Subscribe] the connection
      becomes a push stream: the publisher sends [Journal_batch] frames
      as the journal grows (empty batches double as heartbeats carrying
      the primary's cursor), or a [Checkpoint_offer] followed by
@@ -133,44 +133,15 @@ and resp =
   | Checkpoint_offer of { co_cursor : int; co_files : int }
   | Checkpoint_chunk of { cc_name : string; cc_data : string; cc_last : bool }
   | Repl_error of string
-  | Batch_reply of batch_result list  (* v4: vectorized Batch answer *)
+  | Batch_reply of batch_result list  (* vectorized Batch answer *)
 
 type 'a frame = { id : int; body : 'a }
 
-(* v2: requests carry a trace context (trace id + deadline) after the
-   id, [Trace_fetch]/[Spans] exist, and [Stats_report] is structured.
-   v3: the replication frames ([Subscribe], [Journal_batch],
-   [Checkpoint_offer]/[Checkpoint_chunk], [Repl_error]) and the
-   [Read_only] error code.
-   v4: the pipelining protocol — [Batch]/[Batch_reply] vectorized
-   frames, and the (always latent, now contractual) permission for a
-   server to answer single requests out of order, matched by id. v4 is
-   a strict byte-level superset of v3: it adds two frame kinds and
-   reshapes nothing, so every pre-existing kind still encodes exactly
-   as a v3 binary would.
-
-   Version stamping is therefore per kind ([version_of_kind]): the two
-   v4-only kinds carry 4, everything else stays stamped 3. This is
-   what keeps rolling upgrades honest in both directions — a real v3
-   binary's decoder accepts exactly its own version, so an upgraded
-   server answering a v3 client (or pushing replication frames to a
-   v3 follower) must keep emitting 3 on the kinds that v3 defined.
-   The v4 stamp travels only on frames a v3 peer could not interpret
-   anyway, where it classifies as the recoverable [Bad_version] and
-   earns a structured version-mismatch error on a surviving
-   connection.
-   v5: [Stats_report] slow-log entries grow a trailing query-plan
-   summary string ([sl_plan]). Unlike v4 this reshapes an existing
-   kind, so [Stats_report] itself is stamped 5 — an old peer fed the
-   longer payload classifies it as the recoverable [Bad_version]
-   instead of misparsing, while our decoder reads the plan field only
-   from frames stamped >= 5 and defaults it to "" on v3/v4 frames, so
-   an old server's reports still decode. Batch kinds keep their
-   (now historical) v4 stamp. Our own decoder accepts the whole
-   [min_protocol_version .. protocol_version] range; frames older
-   than v3 decode to the recoverable [Bad_version]. *)
+(* Every frame is stamped [protocol_version], and the decoder accepts
+   exactly that version: any other version byte is the recoverable
+   [Bad_version], answered with a structured version-mismatch error on
+   a connection that stays open. *)
 let protocol_version = 5
-let min_protocol_version = 3
 let max_payload = 16 * 1024 * 1024
 
 (* Header bytes inside the payload before the body starts. *)
@@ -214,14 +185,6 @@ let kind_ckpt_offer = 0x4a
 let kind_ckpt_chunk = 0x4b
 let kind_repl_error = 0x4c
 let kind_batch_reply = 0x4d
-
-(* The version byte a frame of [kind] is stamped with: the version
-   that last changed the kind's payload (or introduced it) — see the
-   version-history comment above [protocol_version]. *)
-let version_of_kind kind =
-  if kind = kind_stats_report then 5
-  else if kind = kind_batch || kind = kind_batch_reply then 4
-  else min_protocol_version
 
 let code_to_byte = function
   | Parse_error -> 0
@@ -388,7 +351,7 @@ let put_batch_result buf = function
 
 let frame_bytes kind id body_writer =
   let payload = Buffer.create 64 in
-  put_u8 payload (version_of_kind kind);
+  put_u8 payload protocol_version;
   put_u8 payload kind;
   put_i64 payload id;
   body_writer payload;
@@ -576,25 +539,22 @@ let get_hist_summary c =
   let hs_p99 = get_float c in
   { hs_name; hs_count; hs_sum; hs_min; hs_max; hs_p50; hs_p90; hs_p99 }
 
-(* [version] is the frame's stamped version: the plan summary exists
-   only from v5 on, so a v3/v4 peer's entries decode with an empty
-   plan instead of tripping over a missing field. *)
-let get_slow_entry ~version c =
+let get_slow_entry c =
   let sl_cmd = get_string c in
   let sl_trace = get_string c in
   let sl_conn = get_i64 c in
   let sl_seconds = get_float c in
   let sl_cache = get_string c in
   let sl_phases = get_list c (fun c -> get_pair c get_float) in
-  let sl_plan = if version >= 5 then get_string c else "" in
+  let sl_plan = get_string c in
   { sl_cmd; sl_trace; sl_conn; sl_seconds; sl_cache; sl_phases; sl_plan }
 
-let get_stats_payload ~version c =
+let get_stats_payload c =
   let sp_text = get_string c in
   let sp_counters = get_list c (fun c -> get_pair c get_i64) in
   let sp_gauges = get_list c (fun c -> get_pair c get_float) in
   let sp_hists = get_list c get_hist_summary in
-  let sp_slow = get_list c (get_slow_entry ~version) in
+  let sp_slow = get_list c get_slow_entry in
   { sp_text; sp_counters; sp_gauges; sp_hists; sp_slow }
 
 let get_result c =
@@ -648,27 +608,24 @@ let decode_payload ~decode_body payload =
   else
     let c = { data = payload; pos = 0 } in
     let version = get_u8 c in
-    if version < min_protocol_version || version > protocol_version then
+    if version <> protocol_version then
       Stdlib.Error (Bad_version { id; got = version })
     else
       let kind = get_u8 c in
       let fid = get_i64 c in
-      match decode_body c version kind with
-      | body -> (
-          match body with
-          | Some b ->
-              if c.pos <> String.length payload then
-                Stdlib.Error (Malformed { id; reason = "trailing bytes after body" })
-              else Stdlib.Ok { id = fid; body = b }
-          | None ->
-              Error
-                (Malformed
-                   { id; reason = Printf.sprintf "unknown frame kind 0x%02x" kind }))
+      match decode_body c kind with
+      | Some _ when c.pos <> String.length payload ->
+          Stdlib.Error (Malformed { id; reason = "trailing bytes after body" })
+      | Some b -> Stdlib.Ok { id = fid; body = b }
+      | None ->
+          Stdlib.Error
+            (Malformed
+               { id; reason = Printf.sprintf "unknown frame kind 0x%02x" kind })
       | exception Bad reason -> Stdlib.Error (Malformed { id; reason })
 
 let decode_request payload =
   let decoded =
-    decode_payload payload ~decode_body:(fun c _version kind ->
+    decode_payload payload ~decode_body:(fun c kind ->
         let trace_id = get_string c in
         let timeout_s = get_float c in
         let ctx = { trace_id; timeout_s } in
@@ -696,7 +653,7 @@ let decode_request payload =
   | Stdlib.Error e -> Stdlib.Error e
 
 let decode_response payload =
-  decode_payload payload ~decode_body:(fun c version kind ->
+  decode_payload payload ~decode_body:(fun c kind ->
       if kind = kind_pong then Some Pong
       else if kind = kind_results then Some (Results (get_list c get_result))
       else if kind = kind_sql_affected then
@@ -707,7 +664,7 @@ let decode_response payload =
         Some (Sql_result (Relation { cols; rows }))
       end
       else if kind = kind_stats_report then
-        Some (Stats_report (get_stats_payload ~version c))
+        Some (Stats_report (get_stats_payload c))
       else if kind = kind_spans then Some (Spans (get_list c get_remote_span))
       else if kind = kind_error then begin
         let code_byte = get_u8 c in

@@ -5,15 +5,15 @@
 
     {v
       u32  payload length          (at most {!max_payload})
-      u8   protocol version        (stamped per frame kind; see below)
+      u8   protocol version        ({!protocol_version})
       u8   frame kind
       i64  request id              (echoed verbatim in the response)
       ...  request context         (requests only: trace id + deadline)
       ...  kind-specific body
     v}
 
-    Since v2, every request carries a {!ctx} — a client-generated trace
-    id string (empty = none) and a deadline in seconds (0 = none) —
+    Every request carries a {!ctx} — a client-generated trace id
+    string (empty = none) and a deadline in seconds (0 = none) —
     between the id and the body, so trace-context propagation works
     uniformly across all request kinds.
 
@@ -30,44 +30,24 @@
     the connection lives on), while a truncated or oversized frame
     means byte-level sync is lost and the connection must close.
 
-    v4 adds pipelining: a [Batch] request carries many CQL/SQL entries
-    under one framing header and is answered by one vectorized
-    [Batch_reply] (per-entry results in entry order, errors isolated
-    to their entry), and servers may answer {e single} requests out of
-    order — responses are matched to requests by the i64 id, never by
-    arrival order. v4 is a byte-level superset of v3, so the decoder
-    accepts both ({!min_protocol_version}).
-
-    v5 appends a query-plan summary string to each slow-log entry
-    inside [Stats_report] ({!slow_entry.sl_plan}).
-
-    Version stamping is per frame kind: each kind is stamped with the
-    version that last changed its payload — [Stats_report] carries 5,
-    [Batch]/[Batch_reply] carry 4, every other kind stays stamped 3.
-    A real v3 binary accepts only its own version, so an upgraded peer
-    must keep emitting 3 on the kinds v3 defined for rolling upgrades
-    to work in both directions; the v5 stamp on [Stats_report] makes
-    an old peer classify the reshaped payload as the recoverable
-    {!Bad_version} instead of misparsing it, while this decoder reads
-    the plan field only from frames stamped >= 5 (defaulting it to
-    [""]), so an old server's reports still decode. *)
+    A [Batch] request carries many CQL/SQL entries under one framing
+    header and is answered by one vectorized [Batch_reply] (per-entry
+    results in entry order, errors isolated to their entry), and
+    servers may answer {e single} requests out of order — responses
+    are matched to requests by the i64 id, never by arrival order. *)
 
 val protocol_version : int
-(** The newest version this codec speaks. Individual kinds are stamped
-    with the version that last changed them (see the stamping note
-    above). *)
-
-val min_protocol_version : int
-(** Oldest version the decoder still accepts. Frames older than this
-    classify as the recoverable {!Bad_version}. *)
+(** The one version this codec speaks: every frame is stamped with it,
+    and any other version byte decodes to the recoverable
+    {!Bad_version}. *)
 
 val max_payload : int
 
 (** {1 Frame bodies} *)
 
 type ctx = { trace_id : string; timeout_s : float }
-(** Per-request context carried by every v2 request: [trace_id] tags
-    all server-side spans produced while serving the request (empty
+(** Per-request context carried by every request: [trace_id] tags all
+    server-side spans produced while serving the request (empty
     string = no tracing requested), and [timeout_s] is a client-set
     deadline — a request that waits in the server queue longer than
     this is answered with [Error Timeout] instead of being executed
@@ -79,7 +59,7 @@ val no_ctx : ctx
 type batch_entry =
   | Bcql of { text : string; args : Icdb_cql.Exec.arg list }
   | Bsql of string
-(** One element of a v4 {!req.Batch}: the two query shapes a client can
+(** One element of a {!req.Batch}: the two query shapes a client can
     vectorize. Each entry succeeds or fails on its own. *)
 
 type req =
@@ -92,12 +72,12 @@ type req =
       (** retrieve the server-side spans tagged with this trace id *)
   | Shutdown       (** drain in-flight requests, checkpoint, exit *)
   | Subscribe of { cursor : int }
-      (** v3: subscribe this connection to the primary's replication
+      (** subscribe this connection to the primary's replication
           stream from journal sequence [cursor] (-1 = no local state,
           send a full checkpoint). The connection becomes a push
           stream; see the replication frames in {!resp}. *)
   | Batch of batch_entry list
-      (** v4: many queries under one framing header, answered by a
+      (** many queries under one framing header, answered by a
           single {!resp.Batch_reply} with one {!batch_result} per entry
           in entry order. The whole batch executes on one worker as one
           admission-control unit (one queue slot, one deadline), so a
@@ -139,10 +119,9 @@ type slow_entry = {
   sl_seconds : float;
   sl_cache : string;           (** "hit" | "miss" | "-" *)
   sl_phases : (string * float) list;  (** per-phase seconds *)
-  sl_plan : string;            (** v5: query-plan summary, e.g.
+  sl_plan : string;            (** query-plan summary, e.g.
                                    ["indexed(pts.key)"]; [""] when the
-                                   request had no plan or the entry
-                                   came from a pre-v5 peer *)
+                                   request had no plan *)
 }
 
 type stats_payload = {
@@ -196,23 +175,23 @@ and resp =
           (** workspace files the records depend on: basename ->
               contents (exact netlists, IIF sources) *)
     }
-      (** v3: a slice of the primary's journal, pushed to a subscribed
+      (** a slice of the primary's journal, pushed to a subscribed
           follower. An empty batch is a heartbeat carrying the
           primary's cursor. *)
   | Checkpoint_offer of { co_cursor : int; co_files : int }
-      (** v3: the follower's cursor predates the primary's last
+      (** the follower's cursor predates the primary's last
           truncation (or it asked for a full sync); [co_files]
           {!Checkpoint_chunk} streams follow, after which the journal
           stream continues from [co_cursor]. *)
   | Checkpoint_chunk of { cc_name : string; cc_data : string; cc_last : bool }
-      (** v3: one piece of a checkpoint file; consecutive chunks with
+      (** one piece of a checkpoint file; consecutive chunks with
           the same [cc_name] concatenate, [cc_last] marks the end of
           the whole checkpoint. *)
   | Repl_error of string
-      (** v3: the subscription is over (slow-follower shed, primary not
+      (** the subscription is over (slow-follower shed, primary not
           durable, ...); the follower should back off and reconnect. *)
   | Batch_reply of batch_result list
-      (** v4: the vectorized answer to a {!req.Batch}. *)
+      (** the vectorized answer to a {!req.Batch}. *)
 
 type 'a frame = { id : int; body : 'a }
 

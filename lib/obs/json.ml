@@ -19,6 +19,8 @@ type t =
 
 let float ?(prec = 6) v = Float { v; prec }
 
+(* The one JSON string escaper: the Chrome trace export and the admin
+   plane's hand-built bodies use it too. *)
 let escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter

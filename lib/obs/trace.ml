@@ -154,22 +154,6 @@ let phase_totals spans =
 (* Chrome trace_event export                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Complete ("ph":"X") events, one tid per owner tag: nesting within a
    row is recovered by the viewer from the containment of
    [ts, ts+dur] intervals, which holds per request because each
@@ -210,7 +194,7 @@ let export_chrome ?spans () =
            (Printf.sprintf
               "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\
                \"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-              tid (json_escape name)));
+              tid (Json.escape name)));
   List.iter
     (fun s ->
       sep ();
@@ -218,7 +202,7 @@ let export_chrome ?spans () =
         (Printf.sprintf
            "\n{\"name\":\"%s\",\"cat\":\"icdb\",\"ph\":\"X\",\"ts\":%.3f,\
             \"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"
-           (json_escape s.sname)
+           (Json.escape s.sname)
            (Clock.ns_to_us (s.sstart_ns - t0))
            (Clock.ns_to_us (max 0 s.sdur_ns))
            (tid_of s.stag));
@@ -229,12 +213,12 @@ let export_chrome ?spans () =
       (match s.stag with
        | Some t ->
            Buffer.add_string buf
-             (Printf.sprintf ",\"tag\":\"%s\"" (json_escape t))
+             (Printf.sprintf ",\"tag\":\"%s\"" (Json.escape t))
        | None -> ());
       List.iter
         (fun (k, v) ->
           Buffer.add_string buf
-            (Printf.sprintf ",\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+            (Printf.sprintf ",\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
         s.sattrs;
       Buffer.add_string buf "}}")
     spans;

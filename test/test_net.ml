@@ -10,6 +10,13 @@ open Icdb_net
 
 let check = Alcotest.check
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i =
+    i + nl <= hl && (String.sub hay i nl = needle || go (i + 1))
+  in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Codec round-trips                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -199,12 +206,31 @@ let test_decode_malformed () =
   | _ -> Alcotest.fail "short string body should be Malformed"
 
 let test_decode_bad_version () =
-  let good = strip_header (Wire.encode_request { Wire.id = 21; body = Wire.Ping }) in
-  let b = Bytes.of_string good in
-  Bytes.set b 0 '\x09';
-  match Wire.decode_request (Bytes.to_string b) with
-  | Error (Wire.Bad_version { id = Some 21; got = 9 }) -> ()
-  | _ -> Alcotest.fail "flipped version byte should be Bad_version with id"
+  (* every version byte but [Wire.protocol_version] is the recoverable
+     Bad_version, with the id salvaged so the server can answer it —
+     never Malformed, which would report an old peer as sending
+     garbage. 3 and 4 are the stamps older builds put on most kinds. *)
+  let restamp bytes v =
+    let b = Bytes.of_string (strip_header bytes) in
+    Bytes.set_uint8 b 0 v;
+    Bytes.to_string b
+  in
+  let ping = Wire.encode_request { Wire.id = 21; body = Wire.Ping } in
+  let pong = Wire.encode_response { Wire.id = 21; body = Wire.Pong } in
+  let expect what v = function
+    | Error (Wire.Bad_version { id = Some 21; got }) when got = v -> ()
+    | Error e ->
+        Alcotest.failf "%s stamped %d: %s" what v
+          (Wire.decode_error_to_string e)
+    | Ok () -> Alcotest.failf "%s stamped %d decoded" what v
+  in
+  List.iter
+    (fun v ->
+      expect "request" v
+        (Result.map ignore (Wire.decode_request (restamp ping v)));
+      expect "response" v
+        (Result.map ignore (Wire.decode_response (restamp pong v))))
+    [ 0; 1; 2; 3; 4; 6; 255 ]
 
 let test_decode_v1_recoverable () =
   (* a pre-context (v1) frame must classify as Bad_version — with the
@@ -218,98 +244,137 @@ let test_decode_v1_recoverable () =
   | Error e ->
       Alcotest.failf "v1 frame should be Bad_version, got %s"
         (Wire.decode_error_to_string e)
-  | Ok _ -> Alcotest.fail "v1 frame should not decode as v2"
+  | Ok _ -> Alcotest.fail "v1 frame should not decode as the current version"
 
-let test_version_stamped_per_kind () =
-  (* a real v3 binary accepts only its own version byte, so every frame
-     kind that existed in v3 and kept its v3 payload must still be
-     stamped 3 by this encoder — otherwise a rolling upgrade breaks: an
-     upgraded server's replies (and replication pushes) would classify
-     as Bad_version on every not-yet-upgraded client and follower. A
-     kind is stamped higher only when that version changed its payload:
-     the v4-only Batch kinds carry 4, and Stats_report — whose slow
-     entries grew a plan field in v5 — carries 5, so an old peer
-     classifies the reshaped payload instead of misparsing it. *)
-  let vbyte bytes = Char.code bytes.[4] (* u32 length, then version *) in
-  let v3_reqs : Wire.req list =
-    [ Wire.Ping;
-      Wire.Cql { text = "command:stats"; args = [ Icdb_cql.Exec.Aint 1 ] };
-      Wire.Sql "SELECT 1"; Wire.Stats; Wire.Trace_fetch "t"; Wire.Shutdown;
-      Wire.Subscribe { cursor = 0 } ]
-  in
-  List.iter
-    (fun body ->
-      check Alcotest.int "pre-v4 request kinds stay stamped v3" 3
-        (vbyte (Wire.encode_request { Wire.id = 1; body })))
-    v3_reqs;
-  let v3_resps : Wire.resp list =
-    [ Wire.Pong; Wire.Results []; Wire.Sql_result (Wire.Affected 1);
-      Wire.Sql_result (Wire.Relation { cols = [ "a" ]; rows = [ [ "1" ] ] });
-      Wire.Spans []; Wire.Error { code = Wire.Timeout; message = "m" };
-      Wire.Bye;
-      Wire.Journal_batch
-        { jb_first = 0; jb_next = 0; jb_records = []; jb_files = [] };
-      Wire.Checkpoint_offer { co_cursor = 0; co_files = 0 };
-      Wire.Checkpoint_chunk { cc_name = "f"; cc_data = "d"; cc_last = true };
-      Wire.Repl_error "e" ]
-  in
-  List.iter
-    (fun body ->
-      check Alcotest.int "unchanged response kinds stay stamped v3" 3
-        (vbyte (Wire.encode_response { Wire.id = 1; body })))
-    v3_resps;
-  check Alcotest.int "Batch carries the v4 stamp" 4
-    (vbyte (Wire.encode_request { Wire.id = 1; body = Wire.Batch [] }));
-  check Alcotest.int "Batch_reply carries the v4 stamp" 4
-    (vbyte (Wire.encode_response { Wire.id = 1; body = Wire.Batch_reply [] }));
-  check Alcotest.int "Stats_report carries the v5 stamp" 5
-    (vbyte
-       (Wire.encode_response
-          { Wire.id = 1;
-            body =
-              Wire.Stats_report
-                { Wire.sp_text = ""; sp_counters = []; sp_gauges = [];
-                  sp_hists = []; sp_slow = [] } }))
+(* ------------------------------------------------------------------ *)
+(* Golden frame bytes                                                  *)
+(* ------------------------------------------------------------------ *)
 
-let test_legacy_stats_report_decodes () =
-  (* A v3/v4 peer's Stats_report has no plan field on slow entries. We
-     fabricate one by encoding a v5 report whose single entry carries an
-     empty plan — the plan's u32 length is the last 4 bytes of the
-     payload — stripping those bytes and rewriting the version byte.
-     The decoder must accept it and default the plan to "". *)
-  let entry =
-    { Wire.sl_cmd = "net.sql"; sl_trace = "t"; sl_conn = 9;
-      sl_seconds = 1.5; sl_cache = "-"; sl_phases = [ ("exec", 1.4) ];
-      sl_plan = "" }
-  in
-  let body =
-    Wire.Stats_report
-      { Wire.sp_text = "x"; sp_counters = [ ("c", 1) ]; sp_gauges = [];
-        sp_hists = []; sp_slow = [ entry ] }
-  in
-  let bytes = Wire.encode_response { Wire.id = 3; body } in
-  (* strip the length header, drop the trailing empty-plan length,
-     restamp as v3, and hand the payload to the decoder directly *)
-  let payload = String.sub bytes 4 (String.length bytes - 4) in
-  let legacy = Bytes.of_string (String.sub payload 0 (String.length payload - 4)) in
-  Bytes.set legacy 0 '\003';
-  (match Wire.decode_response (Bytes.to_string legacy) with
-  | Ok { Wire.id = 3; body = Wire.Stats_report p } -> (
-      match p.Wire.sp_slow with
-      | [ e ] ->
-          check Alcotest.string "legacy entry decodes fields" "net.sql"
-            e.Wire.sl_cmd;
-          check Alcotest.string "plan defaults to empty" "" e.Wire.sl_plan
-      | _ -> Alcotest.fail "slow entry list reshaped")
-  | Ok _ -> Alcotest.fail "unexpected response shape"
-  | Error e -> Alcotest.failf "legacy v3 stats report rejected: %s"
-                 (Wire.decode_error_to_string e));
-  (* and the same v5 payload decodes with the plan intact *)
-  match Wire.decode_response payload with
-  | Ok { Wire.body = Wire.Stats_report p; _ } ->
-      check Alcotest.int "v5 decode keeps the entry" 1
-        (List.length p.Wire.sp_slow)
-  | _ -> Alcotest.fail "v5 stats report did not decode"
+(* One row per frame kind: a value, whether it decodes back to itself,
+   and its exact encoding as hex with a space between fields — payload
+   length, version, kind, id, then (requests only) the trace id and
+   deadline, then the body. A string is its u32 length and its bytes,
+   a list its u32 count and its elements. Every frame is stamped 5. *)
+let golden_id = 0x0102030405060708
+
+let req ?(ctx = Wire.no_ctx) body =
+  let frame = { Wire.id = golden_id; body } in
+  let bytes = Wire.encode_request ~ctx frame in
+  (bytes, Wire.decode_request (strip_header bytes) = Ok (frame, ctx))
+
+let resp body =
+  let frame = { Wire.id = golden_id; body } in
+  let bytes = Wire.encode_response frame in
+  (bytes, Wire.decode_response (strip_header bytes) = Ok frame)
+
+let golden_frames () =
+  let open Wire in
+  let open Icdb_cql.Exec in
+  [ ( "Ping", req ~ctx:{ trace_id = "t"; timeout_s = 1.5 } Ping,
+      "00000017 05 01 0102030405060708 00000001 74 3ff8000000000000" );
+    ( "Cql",
+      req (Cql { text = "q";
+                 args = [ Astr "s"; Aint (-1); Afloat 0.5; Astrs [ "a" ] ] }),
+      "00000041 05 02 0102030405060708 00000000 0000000000000000 00000001 71 \
+       00000004 00 00000001 73 01 ffffffffffffffff 02 3fe0000000000000 03 \
+       00000001 00000001 61" );
+    ( "Sql", req (Sql "S"),
+      "0000001b 05 03 0102030405060708 00000000 0000000000000000 00000001 53" );
+    ( "Stats", req Stats,
+      "00000016 05 04 0102030405060708 00000000 0000000000000000" );
+    ( "Trace_fetch", req (Trace_fetch "t"),
+      "0000001b 05 06 0102030405060708 00000000 0000000000000000 00000001 74" );
+    ( "Shutdown", req Shutdown,
+      "00000016 05 05 0102030405060708 00000000 0000000000000000" );
+    ( "Subscribe", req (Subscribe { cursor = -1 }),
+      "0000001e 05 07 0102030405060708 00000000 0000000000000000 \
+       ffffffffffffffff" );
+    ( "Batch", req (Batch [ Bcql { text = "q"; args = [ Aint 2 ] }; Bsql "S" ]),
+      "00000033 05 08 0102030405060708 00000000 0000000000000000 00000002 00 \
+       00000001 71 00000001 01 0000000000000002 01 00000001 53" );
+    ( "Pong", resp Pong, "0000000a 05 41 0102030405060708" );
+    ( "Results",
+      resp (Results [ ("k", Rstr "v"); ("i", Rint 1); ("f", Rfloat 2.0);
+                      ("l", Rstrs [ "x" ]) ]),
+      "00000044 05 42 0102030405060708 00000004 00000001 6b 00 00000001 76 \
+       00000001 69 01 0000000000000001 00000001 66 02 4000000000000000 \
+       00000001 6c 03 00000001 00000001 78" );
+    ( "Sql_result Affected", resp (Sql_result (Affected 3)),
+      "00000012 05 43 0102030405060708 0000000000000003" );
+    ( "Sql_result Relation",
+      resp (Sql_result (Relation { cols = [ "c" ]; rows = [ [ "1" ] ] })),
+      "00000020 05 44 0102030405060708 00000001 00000001 63 00000001 00000001 \
+       00000001 31" );
+    ( "Stats_report",
+      resp (Stats_report
+              { sp_text = "x"; sp_counters = [ ("c", 1) ];
+                sp_gauges = [ ("g", 0.5) ];
+                sp_hists = [ { hs_name = "h"; hs_count = 1; hs_sum = 1.0;
+                               hs_min = 1.0; hs_max = 1.0; hs_p50 = 1.0;
+                               hs_p90 = 1.0; hs_p99 = 1.0 } ];
+                sp_slow = [ { sl_cmd = "net.sql"; sl_trace = "t"; sl_conn = 9;
+                              sl_seconds = 1.5; sl_cache = "-";
+                              sl_phases = [ ("exec", 1.25) ];
+                              sl_plan = "scan(t)" } ] }),
+      "000000ba 05 45 0102030405060708 00000001 78 00000001 00000001 63 \
+       0000000000000001 00000001 00000001 67 3fe0000000000000 00000001 \
+       00000001 68 0000000000000001 3ff0000000000000 3ff0000000000000 \
+       3ff0000000000000 3ff0000000000000 3ff0000000000000 3ff0000000000000 \
+       00000001 00000007 6e65742e73716c 00000001 74 0000000000000009 \
+       3ff8000000000000 00000001 2d 00000001 00000004 65786563 \
+       3ff4000000000000 00000007 7363616e287429" );
+    ( "Spans",
+      resp (Spans [ { rs_id = 1; rs_parent = None; rs_name = "a"; rs_tag = "t";
+                      rs_start_ns = 2; rs_dur_ns = 3; rs_attrs = [] };
+                    { rs_id = 4; rs_parent = Some 1; rs_name = "b";
+                      rs_tag = "t"; rs_start_ns = 5; rs_dur_ns = 6;
+                      rs_attrs = [ ("k", "v") ] } ]),
+      "0000006e 05 48 0102030405060708 00000002 0000000000000001 00 00000001 \
+       61 00000001 74 0000000000000002 0000000000000003 00000000 \
+       0000000000000004 01 0000000000000001 00000001 62 00000001 74 \
+       0000000000000005 0000000000000006 00000001 00000001 6b 00000001 76" );
+    ( "Error", resp (Error { code = Read_only; message = "m" }),
+      "00000010 05 46 0102030405060708 09 00000001 6d" );
+    ( "Bye", resp Bye, "0000000a 05 47 0102030405060708" );
+    ( "Journal_batch",
+      resp (Journal_batch { jb_first = 1; jb_next = 2; jb_records = [ "r" ];
+                            jb_files = [ ("f", "d") ] }),
+      "00000031 05 49 0102030405060708 0000000000000001 0000000000000002 \
+       00000001 00000001 72 00000001 00000001 66 00000001 64" );
+    ( "Checkpoint_offer",
+      resp (Checkpoint_offer { co_cursor = 4; co_files = 1 }),
+      "00000016 05 4a 0102030405060708 0000000000000004 00000001" );
+    ( "Checkpoint_chunk",
+      resp (Checkpoint_chunk { cc_name = "f"; cc_data = "d"; cc_last = true }),
+      "00000015 05 4b 0102030405060708 00000001 66 00000001 64 01" );
+    ( "Repl_error", resp (Repl_error "e"),
+      "0000000f 05 4c 0102030405060708 00000001 65" );
+    ( "Batch_reply",
+      resp (Batch_reply
+              [ Bresults [ ("k", Rstr "v") ]; Bsql_result (Affected 1);
+                Bsql_result (Relation { cols = [ "c" ]; rows = [ [ "1" ] ] });
+                Berror { code = Timeout; message = "m" } ]),
+      "00000045 05 4d 0102030405060708 00000004 00 00000001 00000001 6b 00 \
+       00000001 76 01 0000000000000001 02 00000001 00000001 63 00000001 \
+       00000001 00000001 31 03 06 00000001 6d" ) ]
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_golden_frames () =
+  let rows = golden_frames () in
+  List.iter
+    (fun (name, (bytes, decodes), expected) ->
+      check Alcotest.string name
+        (String.concat "" (String.split_on_char ' ' expected))
+        (hex bytes);
+      check Alcotest.bool (name ^ " decodes to its value") true decodes)
+    rows;
+  check Alcotest.int "a row per frame kind" 21
+    (List.length
+       (List.sort_uniq compare (List.map (fun (_, (b, _), _) -> b.[5]) rows)))
 
 let test_read_framing_failures () =
   let with_pipe f =
@@ -500,23 +565,24 @@ let test_service_malformed_frame_survival () =
   (match Wire.read_response fd with
    | Ok { Wire.id = 77; body = Wire.Error { code = Wire.Protocol_error; _ } } -> ()
    | _ -> Alcotest.fail "garbled kind should answer Protocol_error with the id");
-  (* wrong version byte: structured error, conn lives *)
-  let wrong_v = Bytes.of_string good in
-  Bytes.set wrong_v 4 '\x63';
-  Wire.write_frame fd (Bytes.to_string wrong_v);
-  (match Wire.read_response fd with
-   | Ok { Wire.id = 77; body = Wire.Error { code = Wire.Version_mismatch; _ } } ->
-       ()
-   | _ -> Alcotest.fail "wrong version should answer Version_mismatch");
-  (* a genuine v1 client (pre trace-context) gets the same treatment:
-     the server names the mismatch and keeps the connection open *)
-  let v1 = Bytes.of_string good in
-  Bytes.set v1 4 '\x01';
-  Wire.write_frame fd (Bytes.to_string v1);
-  (match Wire.read_response fd with
-   | Ok { Wire.id = 77; body = Wire.Error { code = Wire.Version_mismatch; _ } } ->
-       ()
-   | _ -> Alcotest.fail "a v1 frame should answer Version_mismatch");
+  (* a wrong version byte — 99, a genuine v1 client (pre trace-context),
+     or a Ping stamped 3 as older builds stamped it: a structured error
+     naming both versions, and the connection lives *)
+  List.iter
+    (fun v ->
+      let b = Bytes.of_string good in
+      Bytes.set_uint8 b 4 v;
+      Wire.write_frame fd (Bytes.to_string b);
+      match Wire.read_response fd with
+      | Ok
+          { Wire.id = 77;
+            body = Wire.Error { code = Wire.Version_mismatch; message } } ->
+          check Alcotest.bool ("names both versions: " ^ message) true
+            (contains message (Printf.sprintf "v%d," v)
+            && contains message (Printf.sprintf "v%d" Wire.protocol_version))
+      | _ ->
+          Alcotest.failf "a frame stamped %d should answer Version_mismatch" v)
+    [ 99; 1; 3 ];
   (* the same connection still serves real requests *)
   Wire.write_frame fd good;
   match Wire.read_response fd with
@@ -1068,13 +1134,6 @@ let test_service_drain_answers_inflight () =
 (* Continuous telemetry: /statz, /connz, the stall watchdog            *)
 (* ------------------------------------------------------------------ *)
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i =
-    i + nl <= hl && (String.sub hay i nl = needle || go (i + 1))
-  in
-  go 0
-
 let wait_for ?(timeout = 10.0) ~what pred =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
@@ -1220,10 +1279,7 @@ let () =
             test_decode_bad_version;
           Alcotest.test_case "v1 frame is recoverable" `Quick
             test_decode_v1_recoverable;
-          Alcotest.test_case "pre-v4 kinds stamped v3" `Quick
-            test_version_stamped_per_kind;
-          Alcotest.test_case "legacy v3 stats report decodes" `Quick
-            test_legacy_stats_report_decodes;
+          Alcotest.test_case "golden frame bytes" `Quick test_golden_frames;
           Alcotest.test_case "framing failures" `Quick test_read_framing_failures ] );
       ( "service",
         [ Alcotest.test_case "full CQL set" `Quick test_service_full_cql_set;

@@ -242,9 +242,15 @@ let counter_spec =
              ("up_or_down", 3) ];
          functions = [] })
 
+(* Requests observed so far by the process-wide histogram every
+   finished "request" span feeds. *)
+let request_span_count () =
+  (Metrics.summary (Metrics.histogram "span.request")).Metrics.s_count
+
 let test_request_trace =
   with_tracing @@ fun () ->
   let server = Server.create ~verify:false () in
+  let before = request_span_count () in
   let mark = Trace.finished_count () in
   let inst = Server.request_component server counter_spec in
   ignore inst;
@@ -274,16 +280,8 @@ let test_request_trace =
     spans;
   check Alcotest.bool "export is well-formed JSON" true
     (json_well_formed (Trace.export_chrome ~spans ()));
-  (* the per-server stats saw the same phases *)
-  let st = Server.stats server in
-  check Alcotest.bool "per-phase histograms non-empty" true
-    (st.Server.st_phases <> []);
-  check Alcotest.bool "request phase summarized" true
-    (List.exists
-       (fun (s : Metrics.summary) -> s.Metrics.s_name = "request")
-       st.Server.st_phases);
-  check Alcotest.bool "slow-request capture populated" true
-    (st.Server.st_slow <> [])
+  check Alcotest.int "span.request observed the request once" (before + 1)
+    (request_span_count ())
 
 let test_warm_hit_trace =
   with_tracing @@ fun () ->
@@ -301,13 +299,13 @@ let test_disabled_request () =
   Trace.set_enabled false;
   Trace.reset ();
   let server = Server.create ~verify:false () in
+  let before = request_span_count () in
   let inst = Server.request_component server counter_spec in
   check Alcotest.bool "generation works untraced" true
     (Instance.gate_count inst > 0);
   check Alcotest.int "no spans recorded" 0 (Trace.finished_count ());
-  let st = Server.stats server in
-  check Alcotest.bool "no per-phase histograms untraced" true
-    (st.Server.st_phases = [])
+  check Alcotest.int "span.request untouched untraced" before
+    (request_span_count ())
 
 (* ------------------------------------------------------------------ *)
 (* Time-series rings and the flight recorder                           *)

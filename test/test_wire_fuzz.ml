@@ -3,7 +3,7 @@
    Three properties, each over a deterministic PRNG so failures
    reproduce from the printed seed:
 
-   1. Round-trip: every v3/v4 frame shape under random valid payloads
+   1. Round-trip: every frame shape under random valid payloads
       (adversarial strings, extreme ints, NaN/infinity floats)
       re-encodes to byte-identical frames after a decode. Byte
       comparison, not structural equality, so NaN payloads and float
@@ -91,7 +91,7 @@ let gen_batch_entry () : Wire.batch_entry =
   if rint 2 = 0 then Bcql { text = gen_string (); args = gen_list gen_arg }
   else Bsql (gen_string ())
 
-(* Every request constructor, v3 and v4. *)
+(* Every request constructor. *)
 let gen_req () : Wire.req =
   match rint 8 with
   | 0 -> Ping
@@ -151,7 +151,7 @@ let gen_batch_result () : Wire.batch_result =
   | 1 -> Bsql_result (gen_sql_result ())
   | _ -> Berror { code = gen_error_code (); message = gen_string () }
 
-(* Every response constructor, v3 and v4. *)
+(* Every response constructor. *)
 let gen_resp () : Wire.resp =
   match rint 12 with
   | 0 -> Pong
