@@ -34,59 +34,16 @@ let print_relation cols rows =
   print_endline (String.concat " | " cols);
   List.iter (fun row -> print_endline (String.concat " | " row)) rows
 
-let run_sql server stmt =
-  match Icdb_reldb.Sql.exec (Server.db server) stmt with
-  | Icdb_reldb.Sql.Affected n -> Printf.printf "%d row(s)\n" n
-  | Icdb_reldb.Sql.Relation rel ->
-      print_relation
-        (List.map fst rel.Icdb_reldb.Query.rschema)
-        (List.map
-           (fun row ->
-             Array.to_list (Array.map Icdb_reldb.Value.to_string row))
-           rel.Icdb_reldb.Query.rrows)
+let print_sql_result = function
+  | Icdb_net.Wire.Affected n -> Printf.printf "%d row(s)\n" n
+  | Icdb_net.Wire.Relation { cols; rows } -> print_relation cols rows
 
 let has_prefix p s =
   String.length s > String.length p && String.sub s 0 (String.length p) = p
 
-(* Run one shell command string (CQL, or "!sql ..." / "!stats") against
-   the in-process server; [true] on success, [false] with the error
-   printed otherwise — scripted callers turn [false] into a non-zero
-   exit code. *)
-let local_run server cmd =
-  try
-    if has_prefix "!sql " cmd then
-      run_sql server (String.sub cmd 5 (String.length cmd - 5))
-    else if has_prefix "!explain " cmd then
-      (* "!explain STMT" is sugar for "!sql EXPLAIN STMT", so
-         "!explain ANALYZE SELECT ..." composes naturally *)
-      run_sql server ("EXPLAIN " ^ String.sub cmd 9 (String.length cmd - 9))
-    else if String.trim cmd = "!stats" then begin
-      let st = Server.stats server in
-      Printf.printf
-        "cache: %d hits, %d reuse hits, %d misses; memo: %d/%d\n"
-        st.Server.st_hits st.Server.st_reuse_hits st.Server.st_misses
-        st.Server.st_memo_hits st.Server.st_memo_misses;
-      print_string (Icdb_obs.Metrics.render ())
-    end
-    else print_results (Exec.run server cmd);
-    true
-  with
-  | Exec.Cql_error msg ->
-      Printf.printf "CQL error: %s\n" msg;
-      false
-  | Server.Icdb_error msg ->
-      Printf.printf "ICDB error: %s\n" msg;
-      false
-  | Icdb_reldb.Sql.Sql_error msg
-  | Icdb_reldb.Table.Schema_error msg
-  | Icdb_reldb.Db.Db_error msg ->
-      Printf.printf "SQL error: %s\n" msg;
-      false
-
-(* Render the full remote stats payload: the cache summary line, every
-   counter and gauge in the registry, histogram percentiles, and the
-   slow-query log — the same level of detail a local `icdb stats`
-   prints. *)
+(* Render a stats payload: the cache summary line, every counter and
+   gauge in the registry, histogram percentiles, and the slow-query
+   log. *)
 let print_stats_payload (p : Icdb_net.Wire.stats_payload) =
   let open Icdb_net.Wire in
   print_endline p.sp_text;
@@ -134,45 +91,6 @@ let print_stats_payload (p : Icdb_net.Wire.stats_payload) =
       p.sp_slow
   end
 
-(* One shell command string to one batch entry: the same "!sql " prefix
-   convention the sequential shell uses, everything else CQL. *)
-let batch_entry_of_cmd cmd =
-  if has_prefix "!sql " cmd then
-    Icdb_net.Wire.Bsql (String.sub cmd 5 (String.length cmd - 5))
-  else Icdb_net.Wire.Bcql { text = String.trim cmd; args = [] }
-
-(* Send many commands as one pipelined [Batch] frame and print the
-   per-entry results in order; [false] when the batch was refused as a
-   whole or any entry failed. *)
-let remote_batch ?trace_id client cmds =
-  match
-    Icdb_net.Client.batch client ?trace_id (List.map batch_entry_of_cmd cmds)
-  with
-  | Error (code, msg) ->
-      Printf.printf "remote error (%s): %s\n"
-        (Icdb_net.Wire.error_code_to_string code)
-        msg;
-      false
-  | Ok results ->
-      let ok = ref true in
-      List.iteri
-        (fun i r ->
-          Printf.printf "-- entry %d --\n" (i + 1);
-          match r with
-          | Icdb_net.Wire.Bresults rs -> print_results rs
-          | Icdb_net.Wire.Bsql_result (Icdb_net.Wire.Affected n) ->
-              Printf.printf "%d row(s)\n" n
-          | Icdb_net.Wire.Bsql_result (Icdb_net.Wire.Relation { cols; rows })
-            ->
-              print_relation cols rows
-          | Icdb_net.Wire.Berror { code; message } ->
-              ok := false;
-              Printf.printf "remote error (%s): %s\n"
-                (Icdb_net.Wire.error_code_to_string code)
-                message)
-        results;
-      !ok
-
 (* "!batch" shell syntax: the lines after the "!batch" header are
    entries separated by lines holding only "--" (CQL commands span
    lines, so a one-line-per-entry rule would not fit them). *)
@@ -193,48 +111,76 @@ let parse_batch_cmd cmd =
       in
       go [] [] rest
 
-(* The same commands against a remote icdbd. Transport failures raise
-   [Client.Net_error]; server-side failures print the structured error
-   frame and return [false]. [trace_id] tags the server-side spans of
-   CQL commands so they can be fetched back afterwards. *)
-let remote_run ?trace_id client cmd =
-  let report code msg =
-    Printf.printf "remote error (%s): %s\n"
-      (Icdb_net.Wire.error_code_to_string code) msg;
-    false
-  in
+(* One statement of a shell command: "!sql STMT", "!explain STMT" (sugar
+   for "!sql EXPLAIN STMT", so "!explain ANALYZE SELECT ..." composes),
+   anything else CQL. *)
+let entry_of_cmd cmd =
+  if has_prefix "!sql " cmd then
+    Icdb_net.Wire.Bsql (String.sub cmd 5 (String.length cmd - 5))
+  else if has_prefix "!explain " cmd then
+    Icdb_net.Wire.Bsql ("EXPLAIN " ^ String.sub cmd 9 (String.length cmd - 9))
+  else Icdb_net.Wire.Bcql { text = String.trim cmd; args = [] }
+
+(* One shell command string to one request, whichever transport carries
+   it: "!batch" (entries as [parse_batch_cmd] splits them), "!stats",
+   else one statement. *)
+let request_of_cmd cmd =
   if String.trim (List.hd (String.split_on_char '\n' cmd)) = "!batch" then
-    match parse_batch_cmd cmd with
-    | [] ->
-        print_endline
-          "usage: !batch, then one entry per block separated by `--` lines";
-        false
-    | entries -> remote_batch ?trace_id client entries
-  else if has_prefix "!sql " cmd || has_prefix "!explain " cmd then
-    let stmt =
-      if has_prefix "!sql " cmd then String.sub cmd 5 (String.length cmd - 5)
-      else "EXPLAIN " ^ String.sub cmd 9 (String.length cmd - 9)
-    in
-    match Icdb_net.Client.sql client ?trace_id stmt with
-    | Ok (Icdb_net.Wire.Affected n) ->
-        Printf.printf "%d row(s)\n" n;
-        true
-    | Ok (Icdb_net.Wire.Relation { cols; rows }) ->
-        print_relation cols rows;
-        true
-    | Error (code, msg) -> report code msg
-  else if String.trim cmd = "!stats" then
-    match Icdb_net.Client.stats client with
-    | Ok payload ->
-        print_stats_payload payload;
-        true
-    | Error (code, msg) -> report code msg
+    Icdb_net.Wire.Batch (List.map entry_of_cmd (parse_batch_cmd cmd))
+  else if String.trim cmd = "!stats" then Icdb_net.Wire.Stats
   else
-    match Icdb_net.Client.exec client ?trace_id cmd with
-    | Ok results ->
-        print_results results;
-        true
-    | Error (code, msg) -> report code msg
+    match entry_of_cmd cmd with
+    | Icdb_net.Wire.Bsql stmt -> Icdb_net.Wire.Sql stmt
+    | Icdb_net.Wire.Bcql { text; args } -> Icdb_net.Wire.Cql { text; args }
+
+let print_error code message =
+  Printf.printf "error (%s): %s\n"
+    (Icdb_net.Wire.error_code_to_string code)
+    message
+
+(* Print one reply; [false] when it, or any batch entry in it, is an
+   error — scripted callers turn that into a non-zero exit code. *)
+let print_resp (resp : Icdb_net.Wire.resp) =
+  match resp with
+  | Icdb_net.Wire.Results rs ->
+      print_results rs;
+      true
+  | Icdb_net.Wire.Sql_result r ->
+      print_sql_result r;
+      true
+  | Icdb_net.Wire.Stats_report p ->
+      print_stats_payload p;
+      true
+  | Icdb_net.Wire.Batch_reply results ->
+      let ok = ref true in
+      List.iteri
+        (fun i r ->
+          Printf.printf "-- entry %d --\n" (i + 1);
+          match r with
+          | Icdb_net.Wire.Bresults rs -> print_results rs
+          | Icdb_net.Wire.Bsql_result r -> print_sql_result r
+          | Icdb_net.Wire.Berror { code; message } ->
+              ok := false;
+              print_error code message)
+        results;
+      !ok
+  | Icdb_net.Wire.Error { code; message } ->
+      print_error code message;
+      false
+  | _ ->
+      print_endline "error: unexpected reply";
+      false
+
+(* The in-process transport: the daemon's own request path, minus the
+   wire. *)
+let local_dispatch server =
+  Icdb_net.Dispatch.create ~read_only:false
+    ~slow_threshold_s:Icdb_net.Service.default_config.slow_threshold_s
+    ~on_shutdown:ignore (Icdb_net.Sync.wrap server)
+
+let local_shell server =
+  let d = local_dispatch server in
+  fun cmd -> print_resp (Icdb_net.Dispatch.run d (request_of_cmd cmd))
 
 (* Interactive loop shared by [shell] and [connect]. A command is lines
    terminated by a blank line; EOF (Ctrl-D) exits cleanly, mid-command
@@ -251,8 +197,8 @@ let shell_loop ?(interactive = true) run_one =
       "!explain STMT shows the query plan (!explain ANALYZE STMT also runs \
        it with per-node timings).";
     print_endline
-      "Remote shells also take !batch: entries separated by `--` lines, \
-       sent as one frame.";
+      "!batch runs the entries after it, separated by `--` lines, as one \
+       request.";
     print_endline "Example:";
     print_endline "  command:request_component;";
     print_endline "  component_name:counter;";
@@ -324,11 +270,12 @@ let shell workspace durable log_level trace_out execs =
       if durable && execs = [] then
         Printf.printf "journaling to %s\n"
           (Filename.concat (Server.workspace server) "icdb.journal");
+      let run_one = local_shell server in
       let code =
-        if execs <> [] then run_execs (local_run server) execs
+        if execs <> [] then run_execs run_one execs
         else begin
           let interactive = Unix.isatty Unix.stdin in
-          let errors = shell_loop ~interactive (local_run server) in
+          let errors = shell_loop ~interactive run_one in
           (* scripted (piped) sessions must be able to detect failure;
              interactive typo-and-retry keeps exiting 0 *)
           if (not interactive) && errors > 0 then 1 else 0
@@ -567,41 +514,32 @@ let connect endpoint trace_out batch execs =
              always shows a real query *)
           let last_tid = ref None in
           let cmd_no = ref 0 in
-          let run_one cmd =
+          let call ~span req =
             match trace_out with
-            | None -> remote_run client cmd
+            | None -> print_resp (Icdb_net.Client.call client req)
             | Some _ ->
                 incr cmd_no;
                 let tid =
                   Printf.sprintf "cli%d.%d" (Unix.getpid ()) !cmd_no
                 in
-                if String.trim cmd <> "!stats" then last_tid := Some tid;
+                (match req with
+                 | Icdb_net.Wire.Stats -> ()
+                 | _ -> last_tid := Some tid);
+                let ctx = { Icdb_net.Wire.no_ctx with trace_id = tid } in
                 Icdb_obs.Trace.with_tag tid (fun () ->
-                    Icdb_obs.Trace.with_span "client.request" (fun () ->
-                        remote_run ~trace_id:tid client cmd))
+                    Icdb_obs.Trace.with_span span (fun () ->
+                        print_resp (Icdb_net.Client.call ~ctx client req)))
           in
+          let run_one cmd = call ~span:"client.request" (request_of_cmd cmd) in
           let code =
             try
               if batch then begin
                 (* all --exec commands ride in one Batch frame; the
                    trace id (when tracing) covers the whole batch *)
-                let tid =
-                  match trace_out with
-                  | None -> None
-                  | Some _ ->
-                      let tid = Printf.sprintf "cli%d.1" (Unix.getpid ()) in
-                      last_tid := Some tid;
-                      Some tid
+                let req =
+                  Icdb_net.Wire.Batch (List.map entry_of_cmd execs)
                 in
-                let run () = remote_batch ?trace_id:tid client execs in
-                let ok =
-                  match tid with
-                  | None -> run ()
-                  | Some tid ->
-                      Icdb_obs.Trace.with_tag tid (fun () ->
-                          Icdb_obs.Trace.with_span "client.batch" run)
-                in
-                if ok then 0 else 1
+                if call ~span:"client.batch" req then 0 else 1
               end
               else if execs <> [] then run_execs run_one execs
               else begin
@@ -678,7 +616,7 @@ let recover workspace interactive =
           Printf.printf "  dropped (%s): %s\n" (Fault.kind_to_string kind) msg)
         r.Server.rr_dropped;
       List.iter (Printf.printf "  removed orphan: %s\n") r.Server.rr_orphans;
-      if interactive then ignore (shell_loop (local_run server))
+      if interactive then ignore (shell_loop (local_shell server))
 
 (* ------------------------------------------------------------------ *)
 (* catalog                                                             *)
@@ -802,11 +740,11 @@ let workload_spec component size strategy =
     (Spec.From_component
        { component; attributes = [ ("size", size) ]; functions = [] })
 
-(* The machine-readable flavour of `stats --connect`: the same wire
-   payload through the deterministic emitter, so CI scripts and `icdb
-   top` share one schema with bench_out artifacts. Field order is fixed
-   by construction; counter/gauge/histogram order is the registry's
-   (name-sorted) order, carried verbatim by the wire payload. *)
+(* The machine-readable flavour of `stats`: the wire payload through
+   the deterministic emitter, so CI scripts and `icdb top` share one
+   schema with bench_out artifacts. Field order is fixed by
+   construction; counter/gauge/histogram order is the registry's
+   (name-sorted) order, carried verbatim by the payload. *)
 let stats_payload_json (p : Icdb_net.Wire.stats_payload) =
   let open Icdb_obs in
   let open Icdb_net.Wire in
@@ -830,82 +768,58 @@ let stats_payload_json (p : Icdb_net.Wire.stats_payload) =
                    ("p90", Json.float h.hs_p90);
                    ("p99", Json.float h.hs_p99) ])
              p.sp_hists) );
-      ( "slow",
-        Json.List
-          (List.map
-             (fun e ->
-               Json.Obj
-                 [ ("cmd", Json.Str e.sl_cmd);
-                   ("trace", Json.Str e.sl_trace);
-                   ("conn", Json.Int e.sl_conn);
-                   ("seconds", Json.float e.sl_seconds);
-                   ("cache", Json.Str e.sl_cache);
-                   ( "phases",
-                     Json.Obj
-                       (List.map
-                          (fun (n, s) -> (n, Json.float s))
-                          e.sl_phases) );
-                   ("plan", Json.Str e.sl_plan) ])
-             p.sp_slow) ) ]
+      ("slow", Json.List (List.map Icdb_net.Admin.slow_entry_json p.sp_slow))
+    ]
 
-let remote_stats ~json endpoint =
-  match parse_host_port endpoint with
-  | None ->
-      Printf.eprintf "error: expected HOST:PORT, got %s\n" endpoint;
-      exit 2
-  | Some (host, port) -> (
-      match
-        let client = Icdb_net.Client.connect ~host ~port () in
-        Fun.protect
-          ~finally:(fun () -> Icdb_net.Client.close client)
-          (fun () -> Icdb_net.Client.stats client)
-      with
-      | Ok payload ->
-          if json then
-            print_string (Icdb_obs.Json.to_string (stats_payload_json payload))
-          else print_stats_payload payload
-      | Error (code, msg) ->
-          Printf.eprintf "remote error (%s): %s\n"
-            (Icdb_net.Wire.error_code_to_string code) msg;
-          exit 1
-      | exception Icdb_net.Client.Net_error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1)
-
-(* Run a small representative workload with tracing on and print the
-   cache counters, then the metrics registry: every counter the
-   instrumented code bumped and one span.<name> latency histogram per
-   phase. With --connect, instead fetch the live metrics of a running
-   icdbd — cache counters, net.* admission counters, the
-   per-wire-command latency histograms and the slow-request log. *)
+(* Run a small representative workload with tracing on, then print the
+   Stats reply of the in-process request path: the cache summary, every
+   counter the instrumented code bumped and one span.<name> latency
+   histogram per phase. With --connect, print the Stats reply of a
+   running icdbd instead — cache counters, net.* admission counters,
+   the per-wire-command latency histograms and the slow-request log. *)
 let stats component requests connect json =
-  match connect with
-  | Some endpoint -> remote_stats ~json endpoint
-  | None ->
-  if json then begin
-    Printf.eprintf "error: --json requires --connect (the machine-readable \
-                    output mirrors the wire stats payload)\n";
-    exit 2
-  end;
-  Icdb_obs.Trace.set_enabled true;
-  let server = Server.create ~verify:false () in
-  (try
-     for i = 0 to requests - 1 do
-       (* vary the width so the workload mixes cold generations with
-          exact-cache hits, like a real synthesis session *)
-       let size = 2 + (i mod 4) in
-       ignore (Server.request_component server (workload_spec component size "balanced"))
-     done
-   with Server.Icdb_error msg ->
-     Printf.eprintf "error: %s\n" msg;
-     exit 1);
-  let st = Server.stats server in
-  Printf.printf "%d request(s) against component %s\n\n" requests component;
-  Printf.printf
-    "cache: %d hit(s), %d reuse hit(s), %d miss(es); memo: %d/%d\n\n"
-    st.Server.st_hits st.Server.st_reuse_hits st.Server.st_misses
-    st.Server.st_memo_hits st.Server.st_memo_misses;
-  print_string (Icdb_obs.Metrics.render ())
+  let resp =
+    match connect with
+    | Some endpoint -> (
+        match parse_host_port endpoint with
+        | None ->
+            Printf.eprintf "error: expected HOST:PORT, got %s\n" endpoint;
+            exit 2
+        | Some (host, port) -> (
+            match
+              let client = Icdb_net.Client.connect ~host ~port () in
+              Fun.protect
+                ~finally:(fun () -> Icdb_net.Client.close client)
+                (fun () -> Icdb_net.Client.call client Icdb_net.Wire.Stats)
+            with
+            | resp -> resp
+            | exception Icdb_net.Client.Net_error msg ->
+                Printf.eprintf "error: %s\n" msg;
+                exit 1))
+    | None ->
+        Icdb_obs.Trace.set_enabled true;
+        let server = Server.create ~verify:false () in
+        (try
+           for i = 0 to requests - 1 do
+             (* vary the width so the workload mixes cold generations with
+                exact-cache hits, like a real synthesis session *)
+             let size = 2 + (i mod 4) in
+             ignore
+               (Server.request_component server
+                  (workload_spec component size "balanced"))
+           done
+         with Server.Icdb_error msg ->
+           Printf.eprintf "error: %s\n" msg;
+           exit 1);
+        if not json then
+          Printf.printf "%d request(s) against component %s\n\n" requests
+            component;
+        Icdb_net.Dispatch.run (local_dispatch server) Icdb_net.Wire.Stats
+  in
+  match resp with
+  | Icdb_net.Wire.Stats_report p when json ->
+      print_string (Icdb_obs.Json.to_string (stats_payload_json p))
+  | resp -> if not (print_resp resp) then exit 1
 
 (* Live terminal cockpit over a running icdbd: poll the wire Stats
    payload at a fixed interval, compute rates from counter deltas, and
@@ -1083,7 +997,12 @@ let shell_cmd =
                    repeatable, runs in order, exits non-zero at the first \
                    failure" ~docv:"CMD")
   in
-  Cmd.v (Cmd.info "shell" ~doc:"Interactive CQL shell")
+  Cmd.v
+    (Cmd.info "shell"
+       ~doc:"Interactive CQL shell over an in-process server: the same \
+             commands ($(b,!sql), $(b,!explain), $(b,!stats), $(b,!batch)), \
+             request path and error codes as $(b,icdb connect), without the \
+             network")
     Term.(const shell $ workspace $ durable $ log_level $ trace_out $ execs)
 
 let serve_cmd =
@@ -1318,9 +1237,10 @@ let stats_cmd =
   let json =
     Arg.(value & flag
          & info [ "json" ]
-             ~doc:"With --connect, print the stats payload as deterministic \
-                   JSON (fixed field order) instead of the human tables — \
-                   the format CI scripts parse")
+             ~doc:"Print the stats payload as deterministic JSON (fixed \
+                   field order) instead of the human tables — the format CI \
+                   scripts parse; the same schema with or without \
+                   $(b,--connect)")
   in
   Cmd.v
     (Cmd.info "stats"
@@ -1394,7 +1314,7 @@ let trace_cmd =
 (* explore — design-space exploration sweeps (DB4HLS workload)         *)
 (* ------------------------------------------------------------------ *)
 
-let print_sql_result = function
+let print_store_result = function
   | Icdb_reldb.Sql.Affected n -> Printf.printf "%d row(s)\n" n
   | Icdb_reldb.Sql.Relation rel ->
       print_relation
@@ -1532,14 +1452,14 @@ let explore component axis_specs sweep store_dir connect batch inflight power
               (Icdb_reldb.Sql.quote_string sweep)
           in
           Printf.printf "%s\n" stmt;
-          print_sql_result (St.query store stmt);
+          print_store_result (St.query store stmt);
           explain_if_verify stmt
       | _ -> usage "--pareto expects COLX,COLY (e.g. area,delay)"));
   (match query with
   | None -> ()
   | Some stmt -> (
       try
-        print_sql_result (St.query store stmt);
+        print_store_result (St.query store stmt);
         explain_if_verify stmt
       with
       | Icdb_reldb.Sql.Sql_error msg

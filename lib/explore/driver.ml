@@ -86,54 +86,20 @@ let record_failure st p reason =
   report st
 
 (* ------------------------------------------------------------------ *)
-(* Local backend                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let exec_local server ~power p =
-  let t0 = now () in
-  let res = Icdb_cql.Exec.run server (Axis.point_cql p) in
-  let id = Icdb_cql.Exec.get_string res "instance" in
-  let cache = Icdb_cql.Exec.get_string res "cache" in
-  let degraded = Icdb_cql.Exec.get_string res "degraded" = "yes" in
-  let inst = Icdb.Server.find_instance server id in
-  let pw =
-    if power then
-      (Lazy.force inst.Icdb.Instance.power).Icdb_timing.Power.dynamic_mw
-    else 0.0
-  in
-  { Store.r_point = p;
-    r_instance = id;
-    r_area = Icdb.Instance.best_area inst;
-    r_delay = Icdb.Instance.worst_delay inst;
-    r_power = pw;
-    r_gates = Icdb.Instance.gate_count inst;
-    r_cache = cache;
-    r_latency_s = now () -. t0;
-    r_degraded = degraded;
-    r_constraints_met = inst.Icdb.Instance.constraints_met }
-
-let run_local st server ~power pending =
-  List.iter
-    (fun p ->
-      match exec_local server ~power p with
-      | r -> record_result st r
-      | exception
-          (( Icdb.Server.Icdb_error _ | Icdb_cql.Exec.Cql_error _
-           | Icdb_timing.Sta.Timing_error _ ) as e) ->
-          record_failure st p (Printexc.to_string e))
-    pending
-
-(* ------------------------------------------------------------------ *)
-(* Remote backend: pipelined wire-v4 batches                           *)
+(* The pipeline: two-stage batches through a transport                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Each chunk of points takes two batch round trips: one Batch of
    request_component entries, then one Batch of instance_query entries
-   fetching the figures of the instances stage one produced. Up to
-   [inflight] batch frames ride the connection at once
+   fetching the figures of the instances stage one produced. [send]
+   sends a request and returns how to collect its reply. Remotely, up
+   to [inflight] batch frames ride the connection at once
    (Client.call_async), so the server's worker pool stays busy while
-   replies stream back. Per-point latency is the chunk's wall time
-   divided by its size — amortized, as batching intends. *)
+   replies stream back; in process, [send] runs the request through
+   Dispatch before returning, one point per frame, so every point
+   persists before the next one starts. Per-point latency is the
+   chunk's wall time divided by its size — amortized, as batching
+   intends. *)
 
 let instance_query_cql ~power =
   "command:instance_query; instance:%s; area_value:?r; delay_value:?r; \
@@ -147,28 +113,30 @@ type stage_b_meta = {
   m_degraded : bool;
 }
 
+type reply = unit -> Icdb_net.Wire.resp
+
 type outstanding =
-  | Stage_a of Icdb_net.Client.ticket * Axis.point list * float
-  | Stage_b of Icdb_net.Client.ticket * stage_b_meta list * float * int
+  | Stage_a of reply * Axis.point list * float
+  | Stage_b of reply * stage_b_meta list * float * int
       (* sent time of stage A, original chunk size (for amortization) *)
 
 let get_result results key =
   match List.assoc_opt key results with
   | Some r -> r
-  | None -> fail "remote reply is missing %s" key
+  | None -> fail "reply is missing %s" key
 
 let get_str results key =
   match get_result results key with
   | Icdb_cql.Exec.Rstr s -> s
-  | _ -> fail "remote reply: %s is not a string" key
+  | _ -> fail "reply: %s is not a string" key
 
 let get_num results key =
   match get_result results key with
   | Icdb_cql.Exec.Rfloat f -> f
   | Icdb_cql.Exec.Rint i -> float_of_int i
-  | _ -> fail "remote reply: %s is not numeric" key
+  | _ -> fail "reply: %s is not numeric" key
 
-(* Deep pipelining has a failure mode the local path doesn't: the
+(* Deep pipelining has a failure mode a synchronous send doesn't: the
    service deadlines every request at enqueue (min of the client's
    timeout and the server's request_timeout_s), so a frame of expensive
    cold points — or a frame queued behind several inflight ones — can
@@ -177,7 +145,7 @@ let get_num results key =
    cached server-side), so the driver collects them and reruns each in
    its own single-entry frame with a fresh deadline; only a point that
    times out alone is a real failure. *)
-let rec run_remote st client ~power ~batch ~inflight ~retrying pending =
+let rec pipeline st send ~power ~batch ~inflight ~retrying pending =
   let chunks = Queue.create () in
   let rec chop = function
     | [] -> ()
@@ -199,8 +167,9 @@ let rec run_remote st client ~power ~batch ~inflight ~retrying pending =
         (fun p -> Icdb_net.Wire.Bcql { text = Axis.point_cql p; args = [] })
         chunk
     in
-    let ticket = Icdb_net.Client.call_async client (Icdb_net.Wire.Batch entries) in
-    Queue.push (Stage_a (ticket, chunk, now ())) outstanding
+    let t0 = now () in
+    Queue.push (Stage_a (send (Icdb_net.Wire.Batch entries), chunk, t0))
+      outstanding
   in
   let send_stage_b metas t0 chunk_size =
     let entries =
@@ -211,18 +180,19 @@ let rec run_remote st client ~power ~batch ~inflight ~retrying pending =
               args = [ Icdb_cql.Exec.Astr m.m_instance ] })
         metas
     in
-    let ticket = Icdb_net.Client.call_async client (Icdb_net.Wire.Batch entries) in
-    Queue.push (Stage_b (ticket, metas, t0, chunk_size)) outstanding
+    Queue.push
+      (Stage_b (send (Icdb_net.Wire.Batch entries), metas, t0, chunk_size))
+      outstanding
   in
-  let batch_reply ticket =
-    match Icdb_net.Client.await client ticket with
+  let batch_reply reply =
+    match reply () with
     | Icdb_net.Wire.Batch_reply results -> Ok results
     | Icdb_net.Wire.Error { code; message } ->
         Error
           ( code,
             Printf.sprintf "batch refused: %s: %s"
               (Icdb_net.Wire.error_code_to_string code) message )
-    | _ -> fail "remote sent an unexpected reply to a batch"
+    | _ -> fail "unexpected reply to a batch"
   in
   let retry = ref [] in
   let retryable code = (not retrying) && code = Icdb_net.Wire.Timeout in
@@ -243,13 +213,13 @@ let rec run_remote st client ~power ~batch ~inflight ~retrying pending =
   fill_window ();
   while not (Queue.is_empty outstanding) do
     (match Queue.pop outstanding with
-    | Stage_a (ticket, chunk, t0) -> (
-        match batch_reply ticket with
+    | Stage_a (reply, chunk, t0) -> (
+        match batch_reply reply with
         | Error (code, reason) ->
             List.iter (fun p -> entry_failed p code reason) chunk
         | Ok results ->
             if List.length results <> List.length chunk then
-              fail "remote batch reply arity mismatch";
+              fail "batch reply arity mismatch";
             let metas =
               List.filter_map
                 (fun (p, res) ->
@@ -264,17 +234,17 @@ let rec run_remote st client ~power ~batch ~inflight ~retrying pending =
                           m_cache = get_str r "cache";
                           m_degraded = get_str r "degraded" = "yes" }
                   | Icdb_net.Wire.Bsql_result _ ->
-                      fail "remote answered CQL with a SQL result")
+                      fail "CQL answered with a SQL result")
                 (List.combine chunk results)
             in
             if metas <> [] then send_stage_b metas t0 (List.length chunk))
-    | Stage_b (ticket, metas, t0, chunk_size) -> (
-        match batch_reply ticket with
+    | Stage_b (reply, metas, t0, chunk_size) -> (
+        match batch_reply reply with
         | Error (code, reason) ->
             List.iter (fun m -> entry_failed m.m_point code reason) metas
         | Ok results ->
             if List.length results <> List.length metas then
-              fail "remote batch reply arity mismatch";
+              fail "batch reply arity mismatch";
             let latency = (now () -. t0) /. float_of_int (max 1 chunk_size) in
             List.iter2
               (fun m res ->
@@ -295,7 +265,7 @@ let rec run_remote st client ~power ~batch ~inflight ~retrying pending =
                         r_constraints_met =
                           get_str r "constraints_met" = "yes" }
                 | Icdb_net.Wire.Bsql_result _ ->
-                    fail "remote answered CQL with a SQL result")
+                    fail "CQL answered with a SQL result")
               metas results));
     fill_window ()
   done;
@@ -304,7 +274,7 @@ let rec run_remote st client ~power ~batch ~inflight ~retrying pending =
     Event.info
       "explore: retrying %d timed-out points in single-entry frames"
       (List.length pts);
-    run_remote st client ~power ~batch:1 ~inflight:1 ~retrying:true pts
+    pipeline st send ~power ~batch:1 ~inflight:1 ~retrying:true pts
   end
 
 (* ------------------------------------------------------------------ *)
@@ -359,11 +329,24 @@ let run ?(power = false) ?limit ?on_progress ~sweep backend store points =
     sweep total !skipped st.to_run;
   report st;
   (match backend with
-  | Local server -> run_local st server ~power pending
+  | Local server ->
+      let d =
+        Icdb_net.Dispatch.create ~read_only:false ~slow_threshold_s:(-1.0)
+          ~on_shutdown:ignore (Icdb_net.Sync.wrap server)
+      in
+      let send req =
+        let resp = Icdb_net.Dispatch.run d req in
+        fun () -> resp
+      in
+      pipeline st send ~power ~batch:1 ~inflight:1 ~retrying:false pending
   | Remote { client; batch; inflight } ->
       if batch <= 0 then fail "batch size must be positive";
       if inflight <= 0 then fail "inflight window must be positive";
-      run_remote st client ~power ~batch ~inflight ~retrying:false pending);
+      let send req =
+        let ticket = Icdb_net.Client.call_async client req in
+        fun () -> Icdb_net.Client.await client ticket
+      in
+      pipeline st send ~power ~batch ~inflight ~retrying:false pending);
   Event.info "explore: sweep %s done: %d executed, %d skipped, %d failed"
     sweep
     (st.done_ - List.length st.failures)

@@ -1,6 +1,9 @@
 (** Sweep execution over a lattice of request points, against a local
-    {!Icdb.Server} or a remote daemon through the pipelined wire-v4
-    batch path. Every completed point is persisted into the
+    {!Icdb.Server} or a remote daemon. Both backends run one pipeline of
+    [Batch] requests (request_component, then instance_query for the
+    figures) and differ only in transport: in process through
+    {!Icdb_net.Dispatch.run}, one point per request; remotely through
+    pipelined wire frames. Every completed point is persisted into the
     {!Store} as it lands; points whose spec key is already persisted
     are skipped, so a killed sweep resumes without recomputing finished
     work. *)
@@ -9,9 +12,11 @@ exception Driver_error of string
 
 type backend =
   | Local of Icdb.Server.t
+      (** in process; the sweep owns the server while it runs, as
+          {!Icdb_net.Sync.wrap} does *)
   | Remote of { client : Icdb_net.Client.t; batch : int; inflight : int }
-      (** [batch] points per wire-v4 Batch frame, up to [inflight]
-          frames outstanding on the connection at once *)
+      (** [batch] points per Batch frame, up to [inflight] frames
+          outstanding on the connection at once *)
 
 type progress = {
   pr_total : int;       (** points in the sweep *)
@@ -45,8 +50,9 @@ val run :
     (partial runs; the rest persist on the next run). [on_progress]
     fires after every completed point and once at start.
 
-    Per-point failures (generation errors, per-entry batch errors) are
-    recorded in the summary and do not abort the sweep; transport
+    Per-point failures (per-entry errors, reported as
+    ["<error code>: <message>"]) are recorded in the summary and do not
+    abort the sweep; transport
     failures ([Icdb_net.Client.Net_error]) propagate — already-persisted
     points survive for the next run. Remote per-entry [Timeout] errors
     — a deep pipeline of cold points can outrun the service's

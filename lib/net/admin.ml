@@ -27,28 +27,19 @@ let spans_json spans =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let slow_json entries =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\"slow\":[";
-  List.iteri
-    (fun i (e : Wire.slow_entry) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "\n{\"cmd\":\"%s\",\"trace\":\"%s\",\"conn\":%d,\"seconds\":%.6f,\
-         \"cache\":\"%s\",\"phases\":{"
-        (Json.escape e.Wire.sl_cmd)
-        (Json.escape e.Wire.sl_trace)
-        e.Wire.sl_conn e.Wire.sl_seconds
-        (Json.escape e.Wire.sl_cache);
-      List.iteri
-        (fun j (name, seconds) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf "\"%s\":%.6f" (Json.escape name) seconds)
-        e.Wire.sl_phases;
-      Printf.bprintf buf "},\"plan\":\"%s\"}" (Json.escape e.Wire.sl_plan))
-    entries;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+(* The one JSON shape of a slow-log entry: /slowz and `icdb stats
+   --json` both emit it. *)
+let slow_entry_json (e : Wire.slow_entry) =
+  Json.Obj
+    [ ("cmd", Json.Str e.Wire.sl_cmd);
+      ("trace", Json.Str e.Wire.sl_trace);
+      ("conn", Json.Int e.Wire.sl_conn);
+      ("seconds", Json.float e.Wire.sl_seconds);
+      ("cache", Json.Str e.Wire.sl_cache);
+      ( "phases",
+        Json.Obj (List.map (fun (n, s) -> (n, Json.float s)) e.Wire.sl_phases)
+      );
+      ("plan", Json.Str e.Wire.sl_plan) ]
 
 (* The /queryz body: the statement-statistics plane, rendered through
    the shared deterministic emitter in Qstats.snapshot order
@@ -174,7 +165,9 @@ let handler ?replica ?recorder ~service ~sync path =
             Trace.since (max 0 (Trace.finished_count () - tracez_limit)))
       in
       Some (Expo.json (spans_json spans))
-  | "/slowz" -> Some (Expo.json (slow_json (Service.slow_log service)))
+  | "/slowz" ->
+      let slow = List.map slow_entry_json (Service.slow_log service) in
+      Some (Expo.json (Json.to_string (Json.Obj [ ("slow", Json.List slow) ])))
   | "/queryz" -> Some (Expo.json (queryz_json ()))
   | "/statz" -> (
       match Service.sampler service with

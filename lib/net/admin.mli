@@ -28,6 +28,12 @@
     one response — sized for scrapers and probes, not user traffic.
     Bind it to loopback (the default) or a management interface. *)
 
+val slow_entry_json : Wire.slow_entry -> Icdb_obs.Json.t
+(** One slow-log entry as JSON: [cmd], [trace], [conn], [seconds],
+    [cache], [phases] (name to seconds) and [plan], in that order,
+    seconds at six decimals. [/slowz] and [icdb stats --json] both
+    emit this shape. *)
+
 type t
 
 val start :

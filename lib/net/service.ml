@@ -185,18 +185,9 @@ type t = {
   repl_journal : Icdb_reldb.Journal.t option Atomic.t;
   ctr : counters;
   h_queue_wait : Metrics.histogram;
-  h_request : Metrics.histogram;    (* all-command service time *)
   h_poll_wait : Metrics.histogram;  (* per-tick time parked in poll(2) *)
   h_dispatch : Metrics.histogram;   (* per-tick time dispatching readiness *)
-  (* Slow-query log: requests that took longer than [slow_threshold_s],
-     kept in a fixed ring of [slow_cap] slots — recording is O(1)
-     (overwrite the oldest), not the O(n) list trim it used to be.
-     [slow_next] counts entries ever recorded; the live slot for the
-     next entry is [slow_next mod slow_cap]. *)
-  slock : Mutex.t;
-  slow_ring : Wire.slow_entry option array;
-  mutable slow_next : int;
-  mutable last_slow_warn : float;  (* rate limit for the warn event *)
+  dispatch : Dispatch.t;            (* executes every request *)
   (* Continuous telemetry (None when [telemetry_period_s <= 0]). *)
   mutable sampler : Series.t option;
   mutable loop_heartbeat : float;  (* wall clock of the last completed
@@ -208,22 +199,7 @@ type t = {
   mutable wd_missed_seen : int;    (* sampler missed-deadline highwater *)
 }
 
-let slow_cap = 64
-
 let now () = Unix.gettimeofday ()
-
-(* Newest-first snapshot of the slow ring. *)
-let slow_log t =
-  Mutex.lock t.slock;
-  let l =
-    List.filter_map
-      (fun i ->
-        let idx = t.slow_next - 1 - i in
-        if idx < 0 then None else t.slow_ring.(idx mod slow_cap))
-      (List.init slow_cap Fun.id)
-  in
-  Mutex.unlock t.slock;
-  l
 
 (* Primary-side replication metrics. *)
 let g_followers = Metrics.gauge "repl.followers"
@@ -231,7 +207,6 @@ let c_batches_sent = Metrics.counter "repl.batches_sent"
 let c_records_sent = Metrics.counter "repl.records_sent"
 let c_followers_shed = Metrics.counter "repl.followers_shed"
 let c_checkpoints_sent = Metrics.counter "repl.checkpoints_sent"
-let c_readonly_rejected = Metrics.counter "repl.readonly_rejected"
 
 (* Why the publisher woke: a commit or a subscribe announced a new
    commit cursor, a clock deadline passed (a heartbeat, a shed
@@ -427,363 +402,6 @@ let conn_table t =
            ci_paused_s =
              (if c.paused_since > 0.0 then t0 -. c.paused_since else 0.0) })
   |> List.sort (fun a b -> compare a.ci_cid b.ci_cid)
-
-(* ------------------------------------------------------------------ *)
-(* Request execution (worker side)                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* CQL commands that mutate the database or workspace; a read-only
-   follower refuses them with a structured [Read_only] error so clients
-   can redirect to the primary. Everything else — catalog queries,
-   component/implementation/instance lookups — is served locally. *)
-let mutating_cql =
-  [ "request_component"; "start_a_design"; "start_a_transaction";
-    "put_in_component_list"; "end_a_transaction"; "end_a_design" ]
-
-let sql_first_word stmt =
-  let n = String.length stmt in
-  let i = ref 0 in
-  while
-    !i < n && (match stmt.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-  do
-    incr i
-  done;
-  let j = ref !i in
-  while
-    !j < n && (match stmt.[!j] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false)
-  do
-    incr j
-  done;
-  String.uppercase_ascii (String.sub stmt !i (!j - !i))
-
-(* [Some resp] when a read-only follower must refuse the request. A CQL
-   text that does not parse is let through: the executor produces the
-   better (Parse_error) diagnostic. Batch entries are judged one by
-   one where the batch executes, so a mutating entry poisons only
-   itself. *)
-let read_only_reject t (body : Wire.req) =
-  if not t.cfg.read_only then None
-  else
-    let refuse what =
-      Metrics.incr c_readonly_rejected;
-      Some
-        (Wire.Error
-           { code = Wire.Read_only;
-             message =
-               Printf.sprintf
-                 "follower is read-only: %s mutates the database; send it \
-                  to the primary"
-                 what })
-    in
-    match body with
-    | Wire.Cql { text; _ } -> (
-        match Icdb_cql.Command.parse text with
-        | cmd -> (
-            match Icdb_cql.Command.command_name cmd with
-            | name when List.mem name mutating_cql -> refuse ("CQL " ^ name)
-            | _ -> None
-            | exception Icdb_cql.Command.Cql_error _ -> None)
-        | exception Icdb_cql.Command.Cql_error _ -> None)
-    | Wire.Sql stmt -> (
-        (* PARETO/DOMINATED are frontier reads, as side-effect-free as
-           SELECT. *)
-        match sql_first_word stmt with
-        | "SELECT" | "PARETO" | "DOMINATED" -> None
-        | _ -> refuse "this SQL statement")
-    | _ -> None
-
-let cql_metric_name text =
-  match Icdb_cql.Command.parse text with
-  | cmd -> (
-      match Icdb_cql.Command.command_name cmd with
-      | name -> "net.cql." ^ name
-      | exception Icdb_cql.Command.Cql_error _ -> "net.cql.invalid")
-  | exception Icdb_cql.Command.Cql_error _ -> "net.cql.invalid"
-
-let stats_payload t =
-  let st = Sync.with_server ~notify:false t.sync Icdb.Server.stats in
-  let sp_text =
-    Printf.sprintf
-      "server cache: %d hits, %d reuse hits, %d misses, %d evictions, %d \
-       entries; memo %d/%d"
-      st.Icdb.Server.st_hits st.Icdb.Server.st_reuse_hits
-      st.Icdb.Server.st_misses st.Icdb.Server.st_evictions
-      st.Icdb.Server.st_entries st.Icdb.Server.st_memo_hits
-      st.Icdb.Server.st_memo_misses
-  in
-  let reg = Metrics.default in
-  let sp_counters =
-    List.map
-      (fun (c : Metrics.counter) -> (c.Metrics.cname, c.Metrics.count))
-      (Metrics.counters reg)
-  in
-  let sp_gauges =
-    List.map
-      (fun (g : Metrics.gauge) -> (g.Metrics.gname, g.Metrics.gvalue))
-      (Metrics.gauges reg)
-  in
-  let sp_hists =
-    List.map
-      (fun h ->
-        let s = Metrics.summary h in
-        { Wire.hs_name = s.Metrics.s_name;
-          hs_count = s.Metrics.s_count;
-          hs_sum = s.Metrics.s_sum;
-          hs_min = s.Metrics.s_min;
-          hs_max = s.Metrics.s_max;
-          hs_p50 = s.Metrics.s_p50;
-          hs_p90 = s.Metrics.s_p90;
-          hs_p99 = s.Metrics.s_p99 })
-      (Metrics.histograms reg)
-  in
-  { Wire.sp_text; sp_counters; sp_gauges; sp_hists; sp_slow = slow_log t }
-
-let remote_of_span (s : Trace.span) =
-  { Wire.rs_id = s.Trace.sid;
-    rs_parent = s.Trace.sparent;
-    rs_name = s.Trace.sname;
-    rs_tag = (match s.Trace.stag with Some tag -> tag | None -> "");
-    rs_start_ns = s.Trace.sstart_ns;
-    rs_dur_ns = s.Trace.sdur_ns;
-    rs_attrs = s.Trace.sattrs }
-
-(* What a worker learns while executing one request, for the slow-query
-   log: the owner tag its spans carry, whether the component cache
-   answered, and where the time went. *)
-type exec_info = {
-  mutable xi_tag : string;
-  mutable xi_cache : string;
-  mutable xi_phases : (string * float) list;
-  mutable xi_plan : string;  (* query-plan summary of the last SQL
-                                statement executed, "" when none *)
-}
-
-(* Run [f server] with every span tagged [tag]. A request that sent a
-   trace id gets tracing even when the server runs untraced: the flag
-   flip is safe because it happens under the server lock, which is
-   where all span traffic lives (see sync.mli). *)
-let with_request_trace t ~tag ~attrs info f =
-  Sync.with_server ~notify:false t.sync (fun server ->
-      let saved = Trace.enabled () in
-      if tag <> "" then Trace.set_enabled true;
-      Fun.protect
-        ~finally:(fun () -> Trace.set_enabled saved)
-        (fun () ->
-          let ch = Metrics.counter "cache.hit" in
-          let cr = Metrics.counter "cache.reuse_hit" in
-          let cm = Metrics.counter "cache.miss" in
-          let h0 = ch.Metrics.count + cr.Metrics.count in
-          let m0 = cm.Metrics.count in
-          let mark = Trace.finished_count () in
-          let run () = f server in
-          let result =
-            if tag = "" then run ()
-            else
-              Trace.with_tag tag (fun () ->
-                  Trace.with_span "net.request" ~attrs run)
-          in
-          info.xi_cache <-
-            (if ch.Metrics.count + cr.Metrics.count > h0 then "hit"
-             else if cm.Metrics.count > m0 then "miss"
-             else "-");
-          info.xi_phases <- Trace.phase_totals (Trace.since mark);
-          result))
-
-(* Run one SQL statement to a response body, classifying failures. The
-   planner's decision travels with the request: onto [info] for the
-   slow-query log and, when tracing, as a [plan] attribute on the open
-   net.request span. *)
-let exec_sql t ~tag ~attrs info stmt : Wire.resp =
-  match
-    with_request_trace t ~tag ~attrs info (fun server ->
-        let result, plan =
-          Icdb_reldb.Sql.exec_explained (Icdb.Server.db server) stmt
-        in
-        (match plan with
-        | Some p ->
-            let s = Icdb_reldb.Plan.summary p in
-            info.xi_plan <- s;
-            if tag <> "" then Trace.add_attr "plan" s
-        | None -> ());
-        result)
-  with
-  | Icdb_reldb.Sql.Affected n -> Wire.Sql_result (Wire.Affected n)
-  | Icdb_reldb.Sql.Relation rel ->
-      let cols = List.map fst rel.Icdb_reldb.Query.rschema in
-      let rows =
-        List.map
-          (fun row -> Array.to_list (Array.map Icdb_reldb.Value.to_string row))
-          rel.Icdb_reldb.Query.rrows
-      in
-      Wire.Sql_result (Wire.Relation { cols; rows })
-  | exception Icdb_reldb.Sql.Sql_error msg ->
-      Wire.Error { code = Wire.Sql_error; message = msg }
-
-(* Run one CQL command to a response body, classifying failures. *)
-let exec_cql t ~tag ~attrs info text args : Wire.resp =
-  match
-    with_request_trace t ~tag ~attrs info (fun server ->
-        Icdb_cql.Exec.run server ~args text)
-  with
-  | results -> Wire.Results results
-  | exception Icdb_cql.Exec.Cql_error msg ->
-      Wire.Error { code = Wire.Parse_error; message = msg }
-  | exception Icdb.Server.Icdb_error msg ->
-      Wire.Error { code = Wire.Exec_error; message = msg }
-  | exception Icdb_reldb.Sql.Sql_error msg ->
-      Wire.Error { code = Wire.Sql_error; message = msg }
-
-let c_batches = Metrics.counter "net.batches"
-let c_batch_entries = Metrics.counter "net.batch_entries"
-
-(* A batch occupies one worker and one queue slot however many entries
-   it carries, so admission control only sees "one request"; the entry
-   cap keeps a 16 MiB frame from smuggling an unbounded amount of work
-   past that accounting. *)
-let max_batch_entries = 4096
-
-(* Execute one framed request to a response body, classifying every
-   expected failure as a structured error code. [deadline] is the
-   absolute wall-clock instant the request must stop consuming its
-   worker — min of the client's ctx deadline and the server's
-   [request_timeout_s], both measured from enqueue. A single query is
-   never preempted mid-execution (OCaml compute cannot be safely
-   interrupted), but a [Batch] re-checks between entries and answers
-   the remainder with [Berror Timeout]. *)
-let execute t conn (frame : Wire.req Wire.frame) (ctx : Wire.ctx) ~deadline
-    info : Wire.resp =
-  (* the owner tag for this request's spans: the client's trace id when
-     it sent one, else a server-assigned conn/request tag so concurrent
-     requests never interleave anonymously *)
-  let tag =
-    if ctx.Wire.trace_id <> "" then ctx.Wire.trace_id
-    else if Trace.enabled () then
-      Printf.sprintf "c%d.r%d" conn.cid frame.id
-    else ""
-  in
-  info.xi_tag <- tag;
-  let attrs =
-    [ ("conn", string_of_int conn.cid);
-      ("request", string_of_int frame.id) ]
-  in
-  match read_only_reject t frame.body with
-  | Some resp -> resp
-  | None -> (
-  match frame.body with
-  | Wire.Ping -> Wire.Pong
-  | Wire.Stats -> Wire.Stats_report (stats_payload t)
-  | Wire.Trace_fetch want ->
-      (* the ring is only consistent under the server lock *)
-      let spans =
-        Sync.with_server ~notify:false t.sync (fun _ -> Trace.tagged want)
-      in
-      Wire.Spans (List.map remote_of_span spans)
-  | Wire.Shutdown ->
-      Event.info "net: shutdown requested by %s" conn.peer;
-      Atomic.set t.want_stop true;
-      wake t;
-      Wire.Bye
-  | Wire.Sql stmt -> exec_sql t ~tag ~attrs info stmt
-  | Wire.Cql { text; args } -> exec_cql t ~tag ~attrs info text args
-  | Wire.Batch entries when List.length entries > max_batch_entries ->
-      Wire.Error
-        { code = Wire.Protocol_error;
-          message =
-            Printf.sprintf "batch of %d entries exceeds the %d-entry cap"
-              (List.length entries) max_batch_entries }
-  | Wire.Batch entries ->
-      (* one worker, one queue slot, one deadline for the whole batch;
-         entries run in order and fail independently, so the reply is
-         positionally matched and errors stay isolated to their entry.
-         The deadline is re-checked between entries: a batch cannot
-         occupy its worker past the request's timeout the way a shed
-         or queue-aged single request never could *)
-      Metrics.incr c_batches;
-      Metrics.incr ~by:(List.length entries) c_batch_entries;
-      let run_entry (e : Wire.batch_entry) : Wire.batch_result =
-        if now () > deadline then
-          Wire.Berror
-            { code = Wire.Timeout;
-              message = "batch deadline exceeded before this entry ran" }
-        else
-        let body =
-          match e with
-          | Wire.Bcql { text; args } -> Wire.Cql { text; args }
-          | Wire.Bsql stmt -> Wire.Sql stmt
-        in
-        let resp =
-          match read_only_reject t body with
-          | Some resp -> resp
-          | None -> (
-              try
-                match body with
-                | Wire.Cql { text; args } ->
-                    exec_cql t ~tag ~attrs info text args
-                | Wire.Sql stmt -> exec_sql t ~tag ~attrs info stmt
-                | _ -> assert false
-              with e ->
-                Wire.Error
-                  { code = Wire.Internal;
-                    message = "internal error: " ^ Printexc.to_string e })
-        in
-        match resp with
-        | Wire.Results rs -> Wire.Bresults rs
-        | Wire.Sql_result r -> Wire.Bsql_result r
-        | Wire.Error { code; message } -> Wire.Berror { code; message }
-        | _ ->
-            Wire.Berror
-              { code = Wire.Internal;
-                message = "unexpected response shape for a batch entry" }
-      in
-      Wire.Batch_reply (List.map run_entry entries)
-  | Wire.Subscribe _ ->
-      (* routed to [handle_subscribe] before execution ever reaches
-         here; answering makes the match exhaustive *)
-      Wire.Repl_error "subscribe cannot be executed as a plain request")
-
-let metric_name (frame : Wire.req Wire.frame) =
-  match frame.body with
-  | Wire.Ping -> "net.ping"
-  | Wire.Stats -> "net.stats"
-  | Wire.Trace_fetch _ -> "net.trace_fetch"
-  | Wire.Shutdown -> "net.shutdown"
-  | Wire.Sql _ -> "net.sql"
-  | Wire.Subscribe _ -> "net.subscribe"
-  | Wire.Batch _ -> "net.batch"
-  | Wire.Cql { text; _ } -> cql_metric_name text
-
-let record_slow t ~cmd ~info ~conn ~seconds =
-  let entry =
-    { Wire.sl_cmd = cmd;
-      sl_trace = info.xi_tag;
-      sl_conn = conn.cid;
-      sl_seconds = seconds;
-      sl_cache = info.xi_cache;
-      sl_phases = info.xi_phases;
-      sl_plan = info.xi_plan }
-  in
-  let do_warn =
-    Mutex.lock t.slock;
-    t.slow_ring.(t.slow_next mod slow_cap) <- Some entry;
-    t.slow_next <- t.slow_next + 1;
-    let tnow = now () in
-    let warn = tnow -. t.last_slow_warn >= 1.0 in
-    if warn then t.last_slow_warn <- tnow;
-    Mutex.unlock t.slock;
-    warn
-  in
-  Metrics.incr (Metrics.counter "net.slow_requests");
-  if do_warn then
-    Event.warn
-      ~fields:
-        [ ("cmd", cmd);
-          ("trace", info.xi_tag);
-          ("conn", string_of_int conn.cid);
-          ("cache", info.xi_cache);
-          ("plan", info.xi_plan);
-          ("seconds", Printf.sprintf "%.3f" seconds) ]
-      "net: slow request (%.3f s > %.3f s threshold)" seconds
-      t.cfg.slow_threshold_s
 
 (* ------------------------------------------------------------------ *)
 (* Replication publisher (primary side)                                *)
@@ -1251,38 +869,33 @@ let handle_task t task =
            and registers with the publisher, which pushes the batches —
            there is no single response to send here *)
         handle_subscribe t conn frame.Wire.id cursor
-    | _ ->
-    begin
-    let t0 = now () in
-    let info = { xi_tag = ""; xi_cache = "-"; xi_phases = []; xi_plan = "" } in
-    (* the absolute instant this request must stop consuming a worker:
-       the tighter of the client's deadline and the server's request
-       timeout, both anchored at enqueue (re-checked mid-batch) *)
-    let deadline =
-      let server_d = task.enqueued_at +. t.cfg.request_timeout_s in
-      if ctx.Wire.timeout_s > 0.0 then
-        Float.min server_d (task.enqueued_at +. ctx.Wire.timeout_s)
-      else server_d
-    in
-    let resp =
-      try execute t conn frame ctx ~deadline info
-      with e ->
-        Wire.Error
-          { code = Wire.Internal;
-            message = "internal error: " ^ Printexc.to_string e }
-    in
-    let elapsed = now () -. t0 in
-    let cmd = metric_name frame in
-    Metrics.observe (Metrics.histogram cmd) elapsed;
-    Metrics.observe t.h_request elapsed;
-    if t.cfg.slow_threshold_s >= 0.0 && elapsed >= t.cfg.slow_threshold_s
-    then record_slow t ~cmd ~info ~conn ~seconds:elapsed;
-    (match resp with
-     | Wire.Error _ -> Metrics.incr t.ctr.c_errors
-     | _ -> ());
-    send_resp t conn frame.Wire.id resp;
-    signal_commit t
-  end
+    | body -> (
+        (* the absolute instant this request must stop consuming a
+           worker: the tighter of the client's deadline and the server's
+           request timeout, both anchored at enqueue (re-checked
+           mid-batch) *)
+        let deadline =
+          let server_d = task.enqueued_at +. t.cfg.request_timeout_s in
+          if ctx.Wire.timeout_s > 0.0 then
+            Float.min server_d (task.enqueued_at +. ctx.Wire.timeout_s)
+          else server_d
+        in
+        match
+          Dispatch.run t.dispatch ~ctx ~conn:conn.cid ~id:frame.Wire.id
+            ~deadline body
+        with
+        | resp ->
+            (match resp with
+             | Wire.Error _ -> Metrics.incr t.ctr.c_errors
+             | _ -> ());
+            send_resp t conn frame.Wire.id resp;
+            signal_commit t
+        | exception (Icdb.Faultinject.Crash _ as e) ->
+            (* an injected crash simulates the process dying mid-request
+               (see Faultinject): the daemon dies, as an in-process
+               caller does, rather than lose one worker *)
+            Event.error "net: %s in a request; exiting" (Printexc.to_string e);
+            exit 2)
 
 (* Workers drain the queue completely before exiting, which is what
    makes shutdown graceful: every request that was accepted is answered. *)
@@ -1763,7 +1376,8 @@ let setup_telemetry t =
     add "net.requests" (Series.Counter t.ctr.c_requests);
     add "net.errors" (Series.Counter t.ctr.c_errors);
     add "net.queue_wait.p99" (Series.Percentile (t.h_queue_wait, 0.99));
-    add "net.request_s.p99" (Series.Percentile (t.h_request, 0.99));
+    add "net.request_s.p99"
+      (Series.Percentile (Metrics.histogram "net.request_s", 0.99));
     add "net.loop.poll_wait.p99" (Series.Percentile (t.h_poll_wait, 0.99));
     add "net.loop.dispatch.p99" (Series.Percentile (t.h_dispatch, 0.99));
     poll "net.queue_depth" (fun () ->
@@ -1858,12 +1472,13 @@ let start ?(config = default_config) sync =
   in
   let wake_r, wake_w = self_pipe () in
   let pub_r, pub_w = self_pipe () in
+  let want_stop = Atomic.make false in
   let t =
     { cfg = config;
       sync;
       listen_fd;
       bound_port;
-      want_stop = Atomic.make false;
+      want_stop;
       queue = Queue.create ();
       qlock = Mutex.create ();
       qcond = Condition.create ();
@@ -1886,13 +1501,15 @@ let start ?(config = default_config) sync =
       repl_journal = Atomic.make None;
       ctr = counters ();
       h_queue_wait = Metrics.histogram "net.queue_wait";
-      h_request = Metrics.histogram "net.request_s";
       h_poll_wait = Metrics.histogram "net.loop.poll_wait";
       h_dispatch = Metrics.histogram "net.loop.dispatch";
-      slock = Mutex.create ();
-      slow_ring = Array.make slow_cap None;
-      slow_next = 0;
-      last_slow_warn = 0.0;
+      dispatch =
+        Dispatch.create ~read_only:config.read_only
+          ~slow_threshold_s:config.slow_threshold_s
+          ~on_shutdown:(fun () ->
+            Atomic.set want_stop true;
+            wake_pipe wake_w)
+          sync;
       sampler = None;
       loop_heartbeat = now ();
       wd_tripped = false;
@@ -1918,6 +1535,7 @@ let start ?(config = default_config) sync =
 
 let port t = t.bound_port
 let config t = t.cfg
+let slow_log t = Dispatch.slow_log t.dispatch
 let stopping t = Atomic.get t.want_stop
 
 let queue_depth t =

@@ -5,23 +5,20 @@
     (via {!Wire.Dechunk}, so requests may arrive split at any byte
     boundary) into a bounded task queue, and drains per-connection
     write queues with nonblocking writes. A fixed worker pool executes
-    the queued requests against the shared {!Sync.t} and enqueues the
-    replies — workers never touch a socket — so network and file I/O
-    overlap while server state stays single-writer under one lock (the
-    discipline {!Sync} documents). An idle connection costs a table
-    entry and two ints of poll spec, not a thread, so thousands of
-    mostly-idle clients are cheap.
+    the queued requests through {!Dispatch.run}, the request path every
+    in-process caller uses, and enqueues the replies — workers never
+    touch a socket — so network and file I/O overlap while server state
+    stays single-writer under one lock (the discipline {!Sync}
+    documents). An idle connection costs a table entry and two ints of
+    poll spec, not a thread, so thousands of mostly-idle clients are
+    cheap.
 
     Pipelining: responses are written in completion order, matched to
     requests by the echoed frame id, so a client may keep many requests
     in flight per connection; a [Batch] frame executes its entries on
-    one worker under one admission-control decision and answers with
-    one positionally-matched [Batch_reply]. Because that one decision
-    covers however much work the batch carries, batches are bounded
-    both ways: more than {!max_batch_entries} entries is refused
-    outright with [Error Protocol_error], and the request deadline is
-    re-checked between entries — entries that would start past it are
-    answered [Berror Timeout] in their slots instead of executing.
+    one worker under one admission-control decision, bounded by
+    {!Dispatch.max_batch_entries} and by the request deadline, which
+    {!Dispatch.run} re-checks between entries.
 
     Admission control, timeouts and backpressure:
     - connections beyond [max_connections] get an [Error Overloaded]
@@ -59,22 +56,14 @@
     on every connection, then return from {!wait}. Durability is the
     caller's: checkpoint after {!wait} returns, as [icdb serve] does.
 
-    Everything is instrumented through {!Icdb_obs.Metrics} under
-    [net.*]: accepted/refused/closed/requests/errors/shed/timeouts/
-    malformed/version_mismatch/idle_reaped/slow_requests/batches/
-    batch_entries counters, a [net.connections] gauge, a
-    [net.queue_wait] histogram, and one latency histogram per wire
-    command ([net.cql.<command>], [net.sql], [net.batch], [net.stats],
-    [net.ping], [net.trace_fetch]).
-
-    Per-request observability: a request whose {!Wire.ctx} carries a
-    trace id has all of its server-side spans tagged with that id (and
-    tracing force-enabled for its duration), retrievable afterwards via
-    [Trace_fetch]; a request whose ctx carries a deadline is answered
-    [Error Timeout] if it waited in the queue past that deadline; and
-    any request slower than [slow_threshold_s] lands in a bounded
-    slow-query log (newest first, rate-limited warn event) surfaced via
-    [Stats] and {!slow_log}. *)
+    The service's own instruments, under [net.*] in
+    {!Icdb_obs.Metrics}: accepted/refused/closed/requests/errors/shed/
+    timeouts/malformed/version_mismatch/idle_reaped counters, a
+    [net.connections] gauge and a [net.queue_wait] histogram; the
+    per-request ones belong to {!Dispatch}. A request whose {!Wire.ctx}
+    carries a deadline is answered [Error Timeout] if it waited in the
+    queue past it. An injected {!Icdb.Faultinject.Crash} in a request
+    ends the process, as it ends an in-process caller. *)
 
 type config = {
   host : string;             (** bind address, default ["127.0.0.1"] *)
@@ -106,12 +95,6 @@ val default_config : config
     read-only, 10_000-record shed bound, 512-record batches; 1 s
     telemetry period. *)
 
-val max_batch_entries : int
-(** Most entries a single [Batch] frame may carry; a larger batch is
-    refused whole with [Error Protocol_error] (a batch spends one
-    queue slot and one worker no matter its size, so the cap is what
-    keeps admission control's accounting honest). *)
-
 type t
 
 val start : ?config:config -> Sync.t -> t
@@ -132,7 +115,7 @@ val queue_depth : t -> int
 (** Requests currently waiting for a worker. *)
 
 val slow_log : t -> Wire.slow_entry list
-(** The slow-query log, newest first, at most its bounded capacity. *)
+(** {!Dispatch.slow_log} of the service's dispatcher. *)
 
 type conn_info = {
   ci_cid : int;

@@ -4,7 +4,7 @@
    update, a histogram observation is one array increment. Instruments
    get-or-create by name, so call sites can be sprinkled anywhere
    without wiring a registry through every layer; the process-wide
-   [default] registry is what `icdb stats` renders.
+   [default] registry is what a Stats request reports.
 
    Histograms are log-scale: buckets grow geometrically by a factor of
    10^(1/10) (~26% per bucket, ten buckets per decade) from 1 ns to
@@ -43,7 +43,7 @@ let create () =
 let default = create ()
 
 (* One process-wide lock serializes registry *structure* — instrument
-   get-or-create and whole-registry snapshots (render, reset, the
+   get-or-create and whole-registry snapshots (reset, the
    sorted views) — so a scrape taken while worker threads are minting
    new instruments never folds over a resizing hashtable. Instrument
    *updates* (incr/observe/set) stay lock-free: they are plain mutable
@@ -203,31 +203,3 @@ let pretty_s v =
   else if v >= 1e-3 then Printf.sprintf "%.2f ms" (v *. 1e3)
   else if v >= 1e-6 then Printf.sprintf "%.2f us" (v *. 1e6)
   else Printf.sprintf "%.0f ns" (v *. 1e9)
-
-let render ?(registry = default) () =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (match counters registry with
-   | [] -> ()
-   | cs ->
-       add "counters:\n";
-       List.iter (fun c -> add "  %-32s %d\n" c.cname c.count) cs);
-  (match gauges registry with
-   | [] -> ()
-   | gs ->
-       add "gauges:\n";
-       List.iter (fun g -> add "  %-32s %g\n" g.gname g.gvalue) gs);
-  (match histograms registry with
-   | [] -> ()
-   | hs ->
-       add "histograms:\n";
-       add "  %-32s %7s %10s %10s %10s %10s %10s\n" "name" "count" "p50" "p90"
-         "p99" "max" "total";
-       List.iter
-         (fun h ->
-           let s = summary h in
-           add "  %-32s %7d %10s %10s %10s %10s %10s\n" s.s_name s.s_count
-             (pretty_s s.s_p50) (pretty_s s.s_p90) (pretty_s s.s_p99)
-             (pretty_s s.s_max) (pretty_s s.s_sum))
-         hs);
-  Buffer.contents buf

@@ -20,14 +20,16 @@ open Icdb_layout
 let check = Alcotest.check
 
 (* The goldens live in <repo>/bench_out; tests run under _build, so
-   walk up to the repository root (the directory holding .git). *)
+   walk up to the repository root: the directory holding dune-project,
+   which dune does not copy into _build/default, and which a source
+   export without .git still has. *)
 let golden_dir =
   lazy
     (match Sys.getenv_opt "ICDB_GOLDEN_DIR" with
      | Some d -> d
      | None ->
          let rec up dir =
-           if Sys.file_exists (Filename.concat dir ".git") then
+           if Sys.file_exists (Filename.concat dir "dune-project") then
              Filename.concat dir "bench_out"
            else
              let parent = Filename.dirname dir in

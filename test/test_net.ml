@@ -488,9 +488,14 @@ let test_service_full_cql_set () =
          (List.mem [ "counter" ] rows)
    | Ok (Wire.Affected _) -> Alcotest.fail "SELECT answered Affected"
    | Error (_, msg) -> Alcotest.failf "sql failed: %s" msg);
-  (match Client.sql c "SELEKT broken" with
-   | Error (Wire.Sql_error, _) -> ()
-   | _ -> Alcotest.fail "bad SQL should answer Sql_error");
+  (* a syntax error, and a statement that parses but names a column the
+     table does not have *)
+  List.iter
+    (fun stmt ->
+      match Client.sql c stmt with
+      | Error (Wire.Sql_error, _) -> ()
+      | _ -> Alcotest.failf "%s should answer Sql_error" stmt)
+    [ "SELEKT broken"; "SELECT nope FROM components" ];
   match Client.stats c with
   | Ok payload ->
       check Alcotest.bool "stats carry a summary line" true
@@ -810,6 +815,61 @@ let test_service_slow_log () =
            (fun e -> e.Wire.sl_plan = "scan(instances)")
            payload.Wire.sp_slow)
 
+(* Dispatch = wire: each row runs, in order, through [Dispatch.run] on
+   one fresh server and through [Client.call] against a [Service] on a
+   second, and the two replies must be equal values — the in-process
+   path and the daemon differ only in transport. Stats and EXPLAIN
+   ANALYZE are left out: they carry timings. *)
+let test_dispatch_equals_wire () =
+  let resp =
+    Alcotest.testable
+      (fun fmt r ->
+        Format.fprintf fmt "%S" (Wire.encode_response { Wire.id = 0; body = r }))
+      ( = )
+  in
+  let table ~read_only rows =
+    let d =
+      Dispatch.create ~read_only ~slow_threshold_s:(-1.0) ~on_shutdown:ignore
+        (Sync.wrap (Server.create ~verify:false ()))
+    in
+    with_service ~config:{ Service.default_config with read_only }
+    @@ fun _svc port _ws ->
+    let c = Client.connect ~port () in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    List.iter
+      (fun (name, req) -> check resp name (Dispatch.run d req) (Client.call c req))
+      rows
+  in
+  let cql text = Wire.Cql { text; args = [] } in
+  let counter =
+    cql
+      "command:request_component; component_name:counter; \
+       attribute:(size:4); instance:?s; cache:?s"
+  in
+  let select = Wire.Sql "SELECT id, component, gates FROM instances" in
+  table ~read_only:false
+    [ ("ping", Wire.Ping);
+      ("cold request_component", counter);
+      ("hot request_component", counter);
+      ("CQL parse error", cql "command:nonsense_command;");
+      ("SELECT", select);
+      ("schema-error SELECT", Wire.Sql "SELECT nope FROM instances");
+      ( "mixed batch",
+        Wire.Batch
+          [ Wire.Bcql
+              { text = "command:component_query; component:counter; function:?s[]";
+                args = [] };
+            Wire.Bcql { text = "command:nonsense_command;"; args = [] };
+            Wire.Bsql "SELECT id FROM instances";
+            Wire.Bsql "SELEKT broken";
+            Wire.Bsql "SELECT nope FROM instances" ] );
+      ( "batch one entry over the cap",
+        Wire.Batch
+          (List.init (Dispatch.max_batch_entries + 1) (fun _ ->
+               Wire.Bsql "SELECT id FROM instances")) ) ];
+  table ~read_only:true
+    [ ("read-only mutating CQL", counter); ("read-only SELECT", select) ]
+
 (* graceful shutdown drains, says Bye, and loses no journaled writes:
    the post-shutdown reopen differential the ISSUE requires *)
 let test_service_shutdown_durable_differential () =
@@ -992,17 +1052,17 @@ let test_service_batch_entry_cap () =
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let entry = Wire.Bcql { text = "command:nonsense_command;"; args = [] } in
   (match
-     Client.batch c (List.init (Service.max_batch_entries + 1) (fun _ -> entry))
+     Client.batch c (List.init (Dispatch.max_batch_entries + 1) (fun _ -> entry))
    with
    | Error (Wire.Protocol_error, _) -> ()
    | Error (code, msg) ->
        Alcotest.failf "over-cap batch: expected Protocol_error, got %s: %s"
          (Wire.error_code_to_string code) msg
    | Ok _ -> Alcotest.fail "a batch over the entry cap must be refused");
-  match Client.batch c (List.init Service.max_batch_entries (fun _ -> entry)) with
+  match Client.batch c (List.init Dispatch.max_batch_entries (fun _ -> entry)) with
   | Ok results ->
       check Alcotest.int "at-cap batch answers every entry"
-        Service.max_batch_entries (List.length results)
+        Dispatch.max_batch_entries (List.length results)
   | Error (code, msg) ->
       Alcotest.failf "at-cap batch refused: %s: %s"
         (Wire.error_code_to_string code) msg
@@ -1301,6 +1361,8 @@ let () =
           Alcotest.test_case "per-client span isolation" `Quick
             test_service_per_client_span_isolation;
           Alcotest.test_case "slow-query log" `Quick test_service_slow_log;
+          Alcotest.test_case "dispatch equals wire" `Quick
+            test_dispatch_equals_wire;
           Alcotest.test_case "durable shutdown differential" `Quick
             test_service_shutdown_durable_differential;
           Alcotest.test_case "shutdown refuses new work" `Quick
