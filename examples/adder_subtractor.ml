@@ -35,12 +35,12 @@ let () =
       v :=
         (!v lsl 1)
         lor
-        if Gate_sim.value sim (Printf.sprintf "%s[%d]" base i) then 1 else 0
+        if Icdb_iif.Interp.value sim (Printf.sprintf "%s[%d]" base i) then 1 else 0
     done;
     !v
   in
   let run a b sub =
-    Gate_sim.step sim
+    Icdb_iif.Interp.step sim
       (drive_bus "A" 8 a @ drive_bus "B" 8 b @ [ ("ADDSUB", sub) ]);
     read_bus "O" 8
   in

@@ -112,16 +112,16 @@ let () =
     List.fold_left
       (fun acc i ->
         (acc * 2)
-        + if Icdb_sim.Gate_sim.value sim (Printf.sprintf "G[%d]" (3 - i)) then 1 else 0)
+        + if Icdb_iif.Interp.value sim (Printf.sprintf "G[%d]" (3 - i)) then 1 else 0)
       0 [ 0; 1; 2; 3 ]
   in
-  Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", true) ];
-  Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", false) ];
+  Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", true) ];
+  Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", false) ];
   let prev = ref (read ()) in
   let ok = ref true in
   for _ = 1 to 16 do
-    Icdb_sim.Gate_sim.step sim [ ("CLK", true); ("RESET", false) ];
-    Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", false) ];
+    Icdb_iif.Interp.step sim [ ("CLK", true); ("RESET", false) ];
+    Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", false) ];
     let now = read () in
     let diff = !prev lxor now in
     if diff land (diff - 1) <> 0 || diff = 0 then ok := false;

@@ -438,8 +438,7 @@ let handle_list_command server bound = function
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run server ?(args = []) command_string =
-  let cmd = Command.parse command_string in
+let run_command server ?(args = []) cmd =
   let bound = bind_inputs cmd args in
   match Command.command_name cmd with
   | "function_query" -> handle_function_query server bound
@@ -451,6 +450,9 @@ let run server ?(args = []) command_string =
     | "end_a_transaction" | "end_a_design") as c ->
       handle_list_command server bound c
   | c -> fail "unknown command %s" c
+
+let run server ?args command_string =
+  run_command server ?args (Command.parse command_string)
 
 (* Typed accessors over the result bindings. *)
 

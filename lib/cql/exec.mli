@@ -36,6 +36,12 @@ val run :
     unknown commands.
     @raise Icdb.Server.Icdb_error on semantic failures. *)
 
+val run_command :
+  Icdb.Server.t -> ?args:arg list -> Command.t -> (string * result) list
+(** {!run} of a command already parsed, for a caller that reads the
+    parse itself: [run server ?args s] is
+    [run_command server ?args (Command.parse s)]. *)
+
 (** {1 Typed result accessors} *)
 
 val get_string : (string * result) list -> string -> string

@@ -1,7 +1,7 @@
-(* Reference interpreter for flat IIF designs.
+(* The two-valued simulation machine.
 
-   Two-valued, cycle-oriented semantics used as the specification
-   against which synthesized gate netlists are checked:
+   Cycle-oriented semantics used as the specification against which
+   synthesized gate netlists are checked, and to run those netlists:
 
    - combinational equations settle to a fixpoint;
    - latches are transparent at their active gate level and hold
@@ -12,16 +12,16 @@
    - rippled clocks (one register clocking another) are handled by
      iterating register evaluation until quiescent.
 
-   [create] numbers every net of the design and compiles each equation
-   once into a tree over net numbers; values, clock history and latch
-   state live in arrays indexed by net. [words] orders the equations of
-   a purely combinational design once more, for evaluation 63 input
-   vectors at a time. *)
-
-open Flat
+   A design numbers every net and holds each equation compiled once
+   into a tree over net numbers; [compile] builds one from flat IIF,
+   Gate_sim's front end from a cell netlist. Values, clock history and
+   latch state live in arrays. [words] orders the equations of a purely
+   combinational design once more, for evaluation 63 input vectors at a
+   time. *)
 
 exception Unstable of string
-(* Raised when combinational feedback fails to reach a fixpoint. *)
+(* Raised when a flat design's combinational feedback fails to reach a
+   fixpoint. *)
 
 (* A compiled expression. Buffers, Schmitt triggers and delays are
    transparent and compile away; a wired-or keeps its drivers apart
@@ -29,6 +29,7 @@ exception Unstable of string
 type expr =
   | Const of bool
   | Net of int
+  | Raise of exn
   | Not of expr
   | And of expr list
   | Or of expr list
@@ -41,9 +42,16 @@ and driver = Drive of { data : expr; enable : expr } | Plain of expr
 
 type element =
   | Comb of { target : int; rhs : expr }
-  | Latch of { target : int; data : expr; transparent_high : bool; gate : expr }
+  | Latch of {
+      slot : int;
+      target : int;
+      data : expr;
+      transparent_high : bool;
+      gate : expr;
+    }
 
 type reg = {
+  rslot : int;
   rtarget : int;
   rdata : expr;
   rrising : bool;
@@ -51,41 +59,79 @@ type reg = {
   rasyncs : (expr * bool) list;  (* condition, forced value; priority order *)
 }
 
-type t = {
+type design = {
   name : string;
   ids : (string, int) Hashtbl.t;       (* net name -> number *)
   inputs : (string, int) Hashtbl.t;    (* primary input -> number *)
   outputs : (string * int) array;
-  elements : element array;            (* Comb and Latch, in equation order *)
-  regs : reg array;                    (* Ff, in equation order *)
-  limit : int;                         (* settle passes before Unstable *)
+  elements : element array;            (* Comb and Latch, settled in order *)
+  regs : reg array;
+  slots : int;                         (* clock history and latch state *)
+  unstable : exn;
+  not_input : string -> string -> exn;
+}
+
+type t = {
+  design : design;
+  limit : int;                         (* settle passes before [unstable] *)
   values : bool array;                 (* current net values *)
-  clock_seen : bool array;             (* by FF target: clock observed *)
-  prev_clock : bool array;             (* by FF target: clock seen last *)
-  latch_held : bool array;             (* by latch target: value held *)
-  latch_set : bool array;              (* by latch target: a value was held *)
+  clock_seen : bool array;             (* by slot: clock observed *)
+  prev_clock : bool array;             (* by slot: clock seen last *)
+  latch_held : bool array;             (* by slot: value held *)
+  latch_set : bool array;              (* by slot: a value was held *)
   others : (string, bool) Hashtbl.t;   (* poked names outside the design *)
   clocks : bool array;                 (* per reg: this round's clock *)
   nexts : bool array;                  (* per reg: this round's next value *)
 }
 
+(* Nets 0 and 1 are "$const0" and "$const1": they read as constants
+   and ignore writes. *)
+let const0 = 0
+let const1 = 1
+
+(* The number of [name] in [tbl], numbering names as they first occur. *)
+let intern tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length tbl in
+      Hashtbl.add tbl name i;
+      i
+
+let numbering () =
+  let ids = Hashtbl.create 64 in
+  ignore (intern ids "$const0");
+  ignore (intern ids "$const1");
+  ids
+
+let settle_limit d = Array.length d.elements + Array.length d.regs + 8
+
+let set st net v = if net > const1 then st.values.(net) <- v
+
 let value st net =
-  match Hashtbl.find_opt st.ids net with
+  match Hashtbl.find_opt st.design.ids net with
   | Some i -> st.values.(i)
   | None -> ( match Hashtbl.find_opt st.others net with Some v -> v | None -> false)
 
 (* Evaluate a compiled expression. [prev] is the present value of the
    equation's target, used by disabled tri-states (bus keeper
-   behaviour) and wired-or resolution. *)
+   behaviour) and wired-or resolution. AND and OR stop at their first
+   controlling input, and XOR/XNOR read their right operand first,
+   which decides the [Raise] a partly unconnected cell reaches. *)
 let rec eval v prev e =
   match e with
   | Const b -> b
   | Net i -> Array.unsafe_get v i
+  | Raise exn -> raise exn
   | Not e -> not (eval v prev e)
   | And es -> all v prev es
   | Or es -> any v prev es
-  | Xor (a, b) -> eval v prev a <> eval v prev b
-  | Xnor (a, b) -> eval v prev a = eval v prev b
+  | Xor (a, b) ->
+      let y = eval v prev b in
+      eval v prev a <> y
+  | Xnor (a, b) ->
+      let y = eval v prev b in
+      eval v prev a = y
   | Tri { data; enable } -> if eval v prev enable then eval v prev data else prev
   | Wor ds -> wired_or v prev false false ds
 
@@ -104,35 +150,33 @@ and wired_or v prev active acc = function
   | Plain e :: ds -> wired_or v prev true (eval v prev e || acc) ds
 
 (* One pass over combinational and latch equations; returns true if any
-   net changed. *)
+   net changed, or would have for a constant net. *)
 let comb_pass st =
   let v = st.values in
   let changed = ref false in
-  for k = 0 to Array.length st.elements - 1 do
-    match st.elements.(k) with
+  for k = 0 to Array.length st.design.elements - 1 do
+    match st.design.elements.(k) with
     | Comb { target; rhs } ->
         let prev = v.(target) in
         let x = eval v prev rhs in
         if x <> prev then begin
-          v.(target) <- x;
+          set st target x;
           changed := true
         end
-    | Latch { target; data; transparent_high; gate } ->
+    | Latch { slot; target; data; transparent_high; gate } ->
         let prev = v.(target) in
-        let g = eval v prev gate in
-        let transparent = if transparent_high then g else not g in
         let x =
-          if transparent then begin
+          if eval v prev gate = transparent_high then begin
             let d = eval v prev data in
-            st.latch_held.(target) <- d;
-            st.latch_set.(target) <- true;
+            st.latch_held.(slot) <- d;
+            st.latch_set.(slot) <- true;
             d
           end
-          else if st.latch_set.(target) then st.latch_held.(target)
+          else if st.latch_set.(slot) then st.latch_held.(slot)
           else prev
         in
         if x <> prev then begin
-          v.(target) <- x;
+          set st target x;
           changed := true
         end
   done;
@@ -140,82 +184,71 @@ let comb_pass st =
 
 let settle st =
   let rec loop n =
-    if comb_pass st then
-      if n >= st.limit then raise (Unstable st.name) else loop (n + 1)
+    if comb_pass st then if n >= st.limit then raise st.design.unstable else loop (n + 1)
   in
   loop 0
 
-(* Apply asynchronous conditions; returns the forced value if any
-   condition holds (first match wins, as the spec order implies). *)
-let async_force v asyncs =
-  List.find_map (fun (cond, x) -> if eval v false cond then Some x else None) asyncs
+(* A register's next value: that of the first asynchronous condition
+   that holds, else the data on a clock edge, else what it holds. *)
+let rec next_value v current fired data = function
+  | (cond, x) :: asyncs ->
+      if eval v false cond then x else next_value v current fired data asyncs
+  | [] -> if fired then eval v current data else current
 
 (* Evaluate registers until no register output changes. Each round:
    detect edges against the remembered clock values, sample data,
    apply async overrides, commit simultaneously, re-settle. *)
 let update_registers st =
-  let v = st.values and n = Array.length st.regs in
+  let v = st.values and regs = st.design.regs in
+  let n = Array.length regs in
   let rounds = n + 2 in
   let rec loop round =
     settle st;
     let any_change = ref false in
     for k = 0 to n - 1 do
-      let f = st.regs.(k) in
+      let f = regs.(k) in
       let clk = eval v false f.rclock in
       let prev_clk =
         (* first observation: no edge *)
-        if st.clock_seen.(f.rtarget) then st.prev_clock.(f.rtarget) else clk
+        if st.clock_seen.(f.rslot) then st.prev_clock.(f.rslot) else clk
       in
-      let fired =
-        if f.rrising then (not prev_clk) && clk else prev_clk && not clk
-      in
+      let fired = if f.rrising then (not prev_clk) && clk else prev_clk && not clk in
       let current = v.(f.rtarget) in
-      let next =
-        match async_force v f.rasyncs with
-        | Some x -> x
-        | None -> if fired then eval v current f.rdata else current
-      in
+      let next = next_value v current fired f.rdata f.rasyncs in
       st.clocks.(k) <- clk;
       st.nexts.(k) <- next;
       if next <> current then any_change := true
     done;
     for k = 0 to n - 1 do
-      let target = st.regs.(k).rtarget in
-      st.clock_seen.(target) <- true;
-      st.prev_clock.(target) <- st.clocks.(k);
-      v.(target) <- st.nexts.(k)
+      let f = regs.(k) in
+      st.clock_seen.(f.rslot) <- true;
+      st.prev_clock.(f.rslot) <- st.clocks.(k);
+      set st f.rtarget st.nexts.(k)
     done;
     if !any_change && round < rounds then loop (round + 1) else settle st
   in
   loop 0
 
-let create flat =
-  let ids = Hashtbl.create 64 in
-  let id name =
-    match Hashtbl.find_opt ids name with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length ids in
-        Hashtbl.add ids name i;
-        i
-  in
-  let rec compile = function
-    | Fconst b -> Const b
-    | Fnet n -> Net (id n)
-    | Fnot e -> Not (compile e)
-    | Fand es -> And (List.map compile es)
-    | For_ es -> Or (List.map compile es)
-    | Fxor (a, b) -> Xor (compile a, compile b)
-    | Fxnor (a, b) -> Xnor (compile a, compile b)
-    | Fbuf e | Fschmitt e | Fdelay (e, _) -> compile e
-    | Ftri { data; enable } -> Tri { data = compile data; enable = compile enable }
-    | Fwor es ->
+let compile (flat : Flat.t) =
+  let ids = numbering () in
+  let id = intern ids in
+  let rec expr = function
+    | Flat.Fconst b -> Const b
+    | Flat.Fnet n -> Net (id n)
+    | Flat.Fnot e -> Not (expr e)
+    | Flat.Fand es -> And (List.map expr es)
+    | Flat.For_ es -> Or (List.map expr es)
+    | Flat.Fxor (a, b) -> Xor (expr a, expr b)
+    | Flat.Fxnor (a, b) -> Xnor (expr a, expr b)
+    | Flat.Fbuf e | Flat.Fschmitt e | Flat.Fdelay (e, _) -> expr e
+    | Flat.Ftri { data; enable } -> Tri { data = expr data; enable = expr enable }
+    | Flat.Fwor es ->
         Wor
           (List.map
              (function
-               | Ftri { data; enable } ->
-                   Drive { data = compile data; enable = compile enable }
-               | e -> Plain (compile e))
+               | Flat.Ftri { data; enable } ->
+                   Drive { data = expr data; enable = expr enable }
+               | e -> Plain (expr e))
              es)
   in
   let inputs = Hashtbl.create 16 in
@@ -225,36 +258,50 @@ let create flat =
   List.iter
     (function
       | Flat.Comb { target; rhs } ->
-          elements := Comb { target = id target; rhs = compile rhs } :: !elements
+          elements := Comb { target = id target; rhs = expr rhs } :: !elements
       | Flat.Latch { target; data; transparent_high; gate } ->
+          let target = id target in
           elements :=
             Latch
-              { target = id target; data = compile data; transparent_high;
-                gate = compile gate }
+              { slot = target; target; data = expr data; transparent_high;
+                gate = expr gate }
             :: !elements
       | Flat.Ff { target; data; rising; clock; asyncs } ->
+          let target = id target in
           regs :=
-            { rtarget = id target; rdata = compile data; rrising = rising;
-              rclock = compile clock;
-              rasyncs = List.map (fun a -> (compile a.cond, a.value)) asyncs }
+            { rslot = target; rtarget = target; rdata = expr data; rrising = rising;
+              rclock = expr clock;
+              rasyncs = List.map (fun (a : Flat.async) -> (expr a.cond, a.value)) asyncs }
             :: !regs)
     flat.fequations;
-  let nets = Hashtbl.length ids and nregs = List.length !regs in
   { name = flat.fname;
     ids;
     inputs;
     outputs;
     elements = Array.of_list (List.rev !elements);
     regs = Array.of_list (List.rev !regs);
-    limit = List.length flat.fequations + 8;
-    values = Array.make nets false;
-    clock_seen = Array.make nets false;
-    prev_clock = Array.make nets false;
-    latch_held = Array.make nets false;
-    latch_set = Array.make nets false;
+    slots = Hashtbl.length ids;
+    unstable = Unstable flat.fname;
+    not_input =
+      (fun op n ->
+        Invalid_argument (Printf.sprintf "Interp.%s: %s is not an input" op n)) }
+
+let of_design d =
+  let nets = Hashtbl.length d.ids and nregs = Array.length d.regs in
+  let values = Array.make nets false in
+  values.(const1) <- true;
+  { design = d;
+    limit = settle_limit d;
+    values;
+    clock_seen = Array.make d.slots false;
+    prev_clock = Array.make d.slots false;
+    latch_held = Array.make d.slots false;
+    latch_set = Array.make d.slots false;
     others = Hashtbl.create 1;
     clocks = Array.make nregs false;
     nexts = Array.make nregs false }
+
+let create flat = of_design (compile flat)
 
 (* Set primary inputs without clocking consequences being lost: the
    caller is expected to drive the clock like a testbench, e.g.
@@ -262,48 +309,58 @@ let create flat =
 let step st inputs =
   List.iter
     (fun (n, v) ->
-      match Hashtbl.find_opt st.inputs n with
-      | Some i -> st.values.(i) <- v
-      | None -> invalid_arg (Printf.sprintf "Interp.step: %s is not an input" n))
+      match Hashtbl.find_opt st.design.inputs n with
+      | Some i -> set st i v
+      | None -> raise (st.design.not_input "step" n))
     inputs;
   update_registers st
 
 (* Force a register output (e.g. to establish a known initial state). *)
 let poke st net v =
-  match Hashtbl.find_opt st.ids net with
-  | Some i -> st.values.(i) <- v
+  match Hashtbl.find_opt st.design.ids net with
+  | Some i -> set st i v
   | None -> Hashtbl.replace st.others net v
 
-let outputs st = Array.fold_right (fun (o, i) acc -> (o, st.values.(i)) :: acc) st.outputs []
+let outputs st =
+  Array.fold_right (fun (o, i) acc -> (o, st.values.(i)) :: acc) st.design.outputs []
 
-let output st k = st.values.(snd st.outputs.(k))
+let output st k = st.values.(snd st.design.outputs.(k))
 
 (* ------------------------------------------------------------------ *)
 (* Word mode                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A design of combinational equations only, with no tri-state or
-   wired-or, each net driven at most once, no input driven and no
-   cycle, settles to a function of its present inputs alone. Its
-   equations are evaluated once each, in [order], over [lanes]: one int
-   per net whose lane l holds the net's value under the l-th of up to
-   63 input vectors. *)
-type words = { sim : t; order : (int * expr) array; lanes : int array }
+(* A design of combinational equations only, with no tri-state,
+   wired-or or [Raise], each net driven at most once, no input driven,
+   no constant driven other than by its own value, and no cycle,
+   settles to a function of its present inputs alone. Its equations are
+   evaluated once each, in [order], over [lanes]: one int per net whose
+   lane l holds the net's value under the l-th of up to 63 input
+   vectors. *)
+type words = { wdesign : design; order : (int * expr) array; lanes : int array }
 
 exception Not_words
 
 let words st =
+  let d = st.design in
   let build () =
-    if st.regs <> [||] then raise Not_words;
+    if Array.length d.regs > 0 then raise Not_words;
+    (* a constant net driven by its own value (a tie cell) is left out *)
     let combs =
-      Array.map
-        (function
-          | Comb { target; rhs } -> (target, rhs) | Latch _ -> raise Not_words)
-        st.elements
+      Array.of_list
+        (List.filter_map
+           (function
+             | Comb { target; rhs } when target > const1 -> Some (target, rhs)
+             | Comb { target; rhs = Const b } when b = (target = const1) -> None
+             | Comb _ | Latch _ -> raise Not_words)
+           (Array.to_list d.elements))
     in
-    (* driver.(net): the equation driving [net]; -1 for none, -2 for an input *)
+    (* driver.(net): the equation driving [net]; -1 for none, -2 for an
+       input or a constant *)
     let driver = Array.make (Array.length st.values) (-1) in
-    Hashtbl.iter (fun _ i -> driver.(i) <- -2) st.inputs;
+    driver.(const0) <- -2;
+    driver.(const1) <- -2;
+    Hashtbl.iter (fun _ i -> driver.(i) <- -2) d.inputs;
     Array.iteri
       (fun k (target, _) ->
         if driver.(target) <> -1 then raise Not_words;
@@ -315,7 +372,7 @@ let words st =
       | Not e -> reads acc e
       | And es | Or es -> List.fold_left reads acc es
       | Xor (a, b) | Xnor (a, b) -> reads (reads acc a) b
-      | Tri _ | Wor _ -> raise Not_words
+      | Raise _ | Tri _ | Wor _ -> raise Not_words
     in
     (* depth first; mark: 0 unvisited, 1 on the current path, 2 placed *)
     let mark = Array.make (Array.length combs) 0 and order = ref [] in
@@ -331,8 +388,9 @@ let words st =
       end
     in
     Array.iteri (fun k _ -> visit k) combs;
-    { sim = st; order = Array.of_list (List.rev !order);
-      lanes = Array.make (Array.length st.values) 0 }
+    let lanes = Array.make (Array.length st.values) 0 in
+    lanes.(const1) <- -1;
+    { wdesign = d; order = Array.of_list (List.rev !order); lanes }
   in
   match build () with w -> Some w | exception Not_words -> None
 
@@ -345,6 +403,7 @@ let rec eval_word w e =
   | Or es -> any_words w 0 es
   | Xor (a, b) -> eval_word w a lxor eval_word w b
   | Xnor (a, b) -> lnot (eval_word w a lxor eval_word w b)
+  | Raise exn -> raise exn
   | Tri _ | Wor _ -> invalid_arg "Interp: interface operator in word mode"
 
 and all_words w acc = function
@@ -358,11 +417,10 @@ and any_words w acc = function
 let step_words ws inputs =
   List.iter
     (fun (n, x) ->
-      match Hashtbl.find_opt ws.sim.inputs n with
-      | Some i -> ws.lanes.(i) <- x
-      | None ->
-          invalid_arg (Printf.sprintf "Interp.step_words: %s is not an input" n))
+      match Hashtbl.find_opt ws.wdesign.inputs n with
+      | Some i -> if i > const1 then ws.lanes.(i) <- x
+      | None -> raise (ws.wdesign.not_input "step_words" n))
     inputs;
   Array.iter (fun (target, rhs) -> ws.lanes.(target) <- eval_word ws.lanes rhs) ws.order
 
-let output_words ws = Array.map (fun (_, i) -> ws.lanes.(i)) ws.sim.outputs
+let output_words ws = Array.map (fun (_, i) -> ws.lanes.(i)) ws.wdesign.outputs

@@ -76,49 +76,31 @@ let sql_first_word stmt =
   done;
   String.uppercase_ascii (String.sub stmt !i (!j - !i))
 
-(* [Some resp] when a read-only follower must refuse the request. A CQL
-   text that does not parse is let through: the executor produces the
-   better (Parse_error) diagnostic. Batch entries are judged one by
-   one where the batch executes, so a mutating entry poisons only
-   itself. *)
-let read_only_reject t (body : Wire.req) =
-  if not t.read_only then None
-  else
-    let refuse what =
-      Metrics.incr c_readonly_rejected;
-      Some
-        (Wire.Error
-           { code = Wire.Read_only;
-             message =
-               Printf.sprintf
-                 "follower is read-only: %s mutates the database; send it \
-                  to the primary"
-                 what })
-    in
-    match body with
-    | Wire.Cql { text; _ } -> (
-        match Icdb_cql.Command.parse text with
-        | cmd -> (
-            match Icdb_cql.Command.command_name cmd with
-            | name when List.mem name mutating_cql -> refuse ("CQL " ^ name)
-            | _ -> None
-            | exception Icdb_cql.Command.Cql_error _ -> None)
-        | exception Icdb_cql.Command.Cql_error _ -> None)
-    | Wire.Sql stmt -> (
-        (* PARETO/DOMINATED are frontier reads, as side-effect-free as
-           SELECT. *)
-        match sql_first_word stmt with
-        | "SELECT" | "PARETO" | "DOMINATED" -> None
-        | _ -> refuse "this SQL statement")
-    | _ -> None
+(* A CQL text parsed once per request or batch entry: the read-only
+   rule, the [net.cql.<command>] histogram and execution all read this.
+   [name] is the command keyword, when the text parses and has one. *)
+type cql = { parsed : (Icdb_cql.Command.t, string) result; name : string option }
 
-let cql_metric_name text =
+let parse_cql text =
   match Icdb_cql.Command.parse text with
-  | cmd -> (
-      match Icdb_cql.Command.command_name cmd with
-      | name -> "net.cql." ^ name
-      | exception Icdb_cql.Command.Cql_error _ -> "net.cql.invalid")
-  | exception Icdb_cql.Command.Cql_error _ -> "net.cql.invalid"
+  | exception Icdb_cql.Command.Cql_error msg -> { parsed = Error msg; name = None }
+  | cmd ->
+      { parsed = Ok cmd;
+        name =
+          (match Icdb_cql.Command.command_name cmd with
+           | name -> Some name
+           | exception Icdb_cql.Command.Cql_error _ -> None) }
+
+(* The read-only rule's answer to a request that mutates [what]. *)
+let refuse what =
+  Metrics.incr c_readonly_rejected;
+  Wire.Error
+    { code = Wire.Read_only;
+      message =
+        Printf.sprintf
+          "follower is read-only: %s mutates the database; send it to the \
+           primary"
+          what }
 
 let stats_payload t =
   let st = Sync.with_server ~notify:false t.sync Icdb.Server.stats in
@@ -171,6 +153,7 @@ let remote_of_span (s : Trace.span) =
    owner tag its spans carry, whether the component cache answered,
    and where the time went. *)
 type exec_info = {
+  mutable xi_cmd : string;  (* histogram and slow-log name: net.<command> *)
   mutable xi_tag : string;
   mutable xi_cache : string;
   mutable xi_phases : (string * float) list;
@@ -245,10 +228,12 @@ let exec_sql t ~tag ~attrs info stmt : Wire.resp =
       Wire.Error { code = Wire.Sql_error; message = msg }
 
 (* Run one CQL command to a response body, classifying failures. *)
-let exec_cql t ~tag ~attrs info text args : Wire.resp =
+let exec_cql t ~tag ~attrs info cql args : Wire.resp =
   match
     with_request_trace t ~tag ~attrs info (fun server ->
-        Icdb_cql.Exec.run server ~args text)
+        match cql.parsed with
+        | Ok cmd -> Icdb_cql.Exec.run_command server ~args cmd
+        | Error msg -> raise (Icdb_cql.Exec.Cql_error msg))
   with
   | results -> Wire.Results results
   | exception Icdb_cql.Exec.Cql_error msg ->
@@ -257,6 +242,23 @@ let exec_cql t ~tag ~attrs info text args : Wire.resp =
       Wire.Error { code = Wire.Exec_error; message = msg }
   | exception Icdb_reldb.Sql.Sql_error msg ->
       Wire.Error { code = Wire.Sql_error; message = msg }
+
+(* SQL and CQL under the read-only rule, for a request and for each
+   batch entry alike, so a mutating entry poisons only itself.
+   PARETO/DOMINATED are frontier reads, as side-effect-free as SELECT.
+   A CQL text that does not parse is let through: the executor produces
+   the better (Parse_error) diagnostic. *)
+let run_sql t ~tag ~attrs info stmt =
+  if
+    t.read_only
+    && not (List.mem (sql_first_word stmt) [ "SELECT"; "PARETO"; "DOMINATED" ])
+  then refuse "this SQL statement"
+  else exec_sql t ~tag ~attrs info stmt
+
+let run_cql t ~tag ~attrs info cql args =
+  match cql.name with
+  | Some name when t.read_only && List.mem name mutating_cql -> refuse ("CQL " ^ name)
+  | _ -> exec_cql t ~tag ~attrs info cql args
 
 (* The answer to an exception no classifier above expected. An injected
    Crash simulates the process dying mid-request, so it is re-raised,
@@ -288,9 +290,6 @@ let execute t ~conn ~id (ctx : Wire.ctx) ~deadline info (body : Wire.req) :
   in
   info.xi_tag <- tag;
   let attrs = [ ("conn", string_of_int conn); ("request", string_of_int id) ] in
-  match read_only_reject t body with
-  | Some resp -> resp
-  | None -> (
   match body with
   | Wire.Ping -> Wire.Pong
   | Wire.Stats -> Wire.Stats_report (stats_payload t)
@@ -304,8 +303,11 @@ let execute t ~conn ~id (ctx : Wire.ctx) ~deadline info (body : Wire.req) :
       Event.info "net: shutdown requested (conn %d)" conn;
       t.on_shutdown ();
       Wire.Bye
-  | Wire.Sql stmt -> exec_sql t ~tag ~attrs info stmt
-  | Wire.Cql { text; args } -> exec_cql t ~tag ~attrs info text args
+  | Wire.Sql stmt -> run_sql t ~tag ~attrs info stmt
+  | Wire.Cql { text; args } ->
+      let cql = parse_cql text in
+      Option.iter (fun name -> info.xi_cmd <- "net.cql." ^ name) cql.name;
+      run_cql t ~tag ~attrs info cql args
   | Wire.Batch entries when List.length entries > max_batch_entries ->
       Wire.Error
         { code = Wire.Protocol_error;
@@ -326,21 +328,12 @@ let execute t ~conn ~id (ctx : Wire.ctx) ~deadline info (body : Wire.req) :
             { code = Wire.Timeout;
               message = "batch deadline exceeded before this entry ran" }
         else
-        let body =
-          match e with
-          | Wire.Bcql { text; args } -> Wire.Cql { text; args }
-          | Wire.Bsql stmt -> Wire.Sql stmt
-        in
         let resp =
-          match read_only_reject t body with
-          | Some resp -> resp
-          | None -> (
-              try
-                match e with
-                | Wire.Bcql { text; args } ->
-                    exec_cql t ~tag ~attrs info text args
-                | Wire.Bsql stmt -> exec_sql t ~tag ~attrs info stmt
-              with exn -> internal exn)
+          try
+            match e with
+            | Wire.Bcql { text; args } -> run_cql t ~tag ~attrs info (parse_cql text) args
+            | Wire.Bsql stmt -> run_sql t ~tag ~attrs info stmt
+          with exn -> internal exn
         in
         match resp with
         | Wire.Results rs -> Wire.Bresults rs
@@ -355,7 +348,7 @@ let execute t ~conn ~id (ctx : Wire.ctx) ~deadline info (body : Wire.req) :
   | Wire.Subscribe _ ->
       (* a connection handshake the daemon routes before execution;
          answering makes the match exhaustive *)
-      Wire.Repl_error "subscribe cannot be executed as a plain request")
+      Wire.Repl_error "subscribe cannot be executed as a plain request"
 
 let metric_name (body : Wire.req) =
   match body with
@@ -366,9 +359,10 @@ let metric_name (body : Wire.req) =
   | Wire.Sql _ -> "net.sql"
   | Wire.Subscribe _ -> "net.subscribe"
   | Wire.Batch _ -> "net.batch"
-  | Wire.Cql { text; _ } -> cql_metric_name text
+  | Wire.Cql _ -> "net.cql.invalid"  (* until the text parses with a command *)
 
-let record_slow t ~cmd ~info ~conn ~seconds =
+let record_slow t ~info ~conn ~seconds =
+  let cmd = info.xi_cmd in
   let entry =
     { Wire.sl_cmd = cmd;
       sl_trace = info.xi_tag;
@@ -404,14 +398,16 @@ let record_slow t ~cmd ~info ~conn ~seconds =
 let run t ?(ctx = Wire.no_ctx) ?(conn = 0) ?(id = 0) ?(deadline = infinity)
     body =
   let t0 = now () in
-  let info = { xi_tag = ""; xi_cache = "-"; xi_phases = []; xi_plan = "" } in
+  let info =
+    { xi_cmd = metric_name body; xi_tag = ""; xi_cache = "-"; xi_phases = [];
+      xi_plan = "" }
+  in
   let resp =
     try execute t ~conn ~id ctx ~deadline info body with exn -> internal exn
   in
   let elapsed = now () -. t0 in
-  let cmd = metric_name body in
-  Metrics.observe (Metrics.histogram cmd) elapsed;
+  Metrics.observe (Metrics.histogram info.xi_cmd) elapsed;
   Metrics.observe t.h_request elapsed;
   if t.slow_threshold_s >= 0.0 && elapsed >= t.slow_threshold_s then
-    record_slow t ~cmd ~info ~conn ~seconds:elapsed;
+    record_slow t ~info ~conn ~seconds:elapsed;
   resp

@@ -11,7 +11,9 @@
     else [Internal]); [Batch] with its entry cap and deadline; the
     [Stats] payload (the server's cache summary, the whole metrics
     registry and {!slow_log}); the [net.<command>] and [net.request_s]
-    latency histograms; and the slow-query log. *)
+    latency histograms; and the slow-query log. A CQL text is parsed
+    once per request or batch entry, for the read-only rule, its
+    histogram name and execution. *)
 
 type t
 

@@ -1,13 +1,13 @@
 (* Equivalence checking between a flat IIF specification and a mapped
-   netlist: both simulators start from the all-zero state, so driving
-   identical input sequences must produce identical output sequences.
+   netlist. Both run on the same machine, Interp (the netlist through
+   Gate_sim's front end), from the all-zero state, so driving identical
+   input sequences must produce identical output sequences.
 
    For purely combinational designs the check enumerates input vectors
    exhaustively (up to a bound) instead of sampling. When both sides
-   settle to a function of the present inputs alone, it runs both
-   simulators' word modes, 63 vectors per native int, and replays the
-   first differing vector through the scalar simulators for the
-   report. *)
+   settle to a function of the present inputs alone, it runs the word
+   mode on both, 63 vectors per native int, and replays the first
+   differing vector one vector at a time for the report. *)
 
 open Icdb_iif
 
@@ -29,16 +29,16 @@ let is_combinational (flat : Flat.t) =
    lists are equal, and when they are not every step is a mismatch. *)
 let compare_step ~same_names ~nout ref_sim gate_sim step inputs =
   Interp.step ref_sim inputs;
-  Gate_sim.step gate_sim inputs;
+  Interp.step gate_sim inputs;
   let rec agree k =
-    k = nout || (Interp.output ref_sim k = Gate_sim.output gate_sim k && agree (k + 1))
+    k = nout || (Interp.output ref_sim k = Interp.output gate_sim k && agree (k + 1))
   in
   if same_names && agree 0 then None
   else
     Some
       (Mismatch
          { step; inputs; expected = Interp.outputs ref_sim;
-           got = Gate_sim.outputs gate_sim })
+           got = Interp.outputs gate_sim })
 
 (* The step comparison of one design and netlist. *)
 let comparer (flat : Flat.t) (netlist : Icdb_netlist.Netlist.t) =
@@ -83,7 +83,7 @@ let input_words inputs ~base ~lanes =
 
 let rec lowest_lane d l = if d land 1 = 1 then l else lowest_lane (d lsr 1) (l + 1)
 
-(* Both word modes over all 2^n vectors. Every output depends only on
+(* Word mode on both sides over all 2^n vectors. Every output depends only on
    the present vector, so the lowest differing lane of the first
    differing word is the scalar loop's first mismatch, and replaying it
    alone reproduces that loop's record. *)
@@ -96,9 +96,9 @@ let by_words flat netlist ref_sim gate_sim ref_words gate_words =
       let lanes = min 63 (total - base) in
       let vec = input_words inputs ~base ~lanes in
       Interp.step_words ref_words vec;
-      Gate_sim.step_words gate_words vec;
+      Interp.step_words gate_words vec;
       let expected = Interp.output_words ref_words
-      and got = Gate_sim.output_words gate_words in
+      and got = Interp.output_words gate_words in
       let diff = ref 0 in
       Array.iteri (fun k x -> diff := !diff lor (x lxor got.(k))) expected;
       let diff = if lanes = 63 then !diff else !diff land ((1 lsl lanes) - 1) in
@@ -146,8 +146,8 @@ let check_sequential ?(steps = 200) ?(seed = 42) flat netlist =
    need both sides to settle to a function of the present inputs, the
    same input names, and the same output names in the same order. *)
 type plan =
-  | By_words of Interp.t * Gate_sim.t * Interp.words * Gate_sim.words
-  | By_vectors of Interp.t * Gate_sim.t
+  | By_words of Interp.t * Interp.t * Interp.words * Interp.words
+  | By_vectors of Interp.t * Interp.t
   | By_sequence
 
 let plan (flat : Flat.t) (netlist : Icdb_netlist.Netlist.t) =
@@ -159,7 +159,7 @@ let plan (flat : Flat.t) (netlist : Icdb_netlist.Netlist.t) =
       if names flat.Flat.finputs = names netlist.Icdb_netlist.Netlist.inputs
          && flat.Flat.foutputs = netlist.Icdb_netlist.Netlist.outputs
       then Option.bind (Interp.words ref_sim) (fun r ->
-          Option.map (fun g -> (r, g)) (Gate_sim.words gate_sim))
+          Option.map (fun g -> (r, g)) (Interp.words gate_sim))
       else None
     in
     match words with

@@ -1,15 +1,20 @@
 (* Event-driven timing simulation.
 
-   Where {!Gate_sim} evaluates to a stable state (zero-delay), this
-   simulator runs the netlist through real time: every cell contributes
-   its library delay (the §4.4.1 X/Y/Z model), transitions propagate as
-   events on an event wheel, and inertial filtering cancels pulses
-   shorter than a gate's delay. It measures what the static analyzer
-   only bounds — actual settling time after an input vector — and
-   counts glitches, which the hazard-free STA cannot see.
+   Where the two-valued machine evaluates to a stable state
+   (zero-delay), this simulator runs the netlist through real time:
+   every cell contributes its library delay (the §4.4.1 X/Y/Z model),
+   transitions propagate as events on an event wheel, and inertial
+   filtering cancels pulses shorter than a gate's delay. It measures
+   what the static analyzer only bounds — actual settling time after an
+   input vector — and counts glitches, which the hazard-free STA cannot
+   see.
 
-   Two-valued; state elements start at 0 like the other simulators. *)
+   It runs on the form Gate_sim's front end compiles a netlist into:
+   values, readers and pending events are indexed by net number, and
+   every element evaluates through Interp.eval. Two-valued; state
+   elements start at 0 like the other simulators. *)
 
+open Icdb_iif
 open Icdb_netlist
 open Icdb_logic
 
@@ -17,251 +22,157 @@ exception Event_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Event_error s)) fmt
 
-type ff_info = {
-  ff_inst : string;
-  ff_out : string;
-  ff_d : string;
-  ff_ck : string;
-  ff_s : string option;
-  ff_r : string option;
-}
-
-type element =
-  | Ecomb of { out : string; cell : Celllib.t; inst : Netlist.instance }
-  | Eff of ff_info * Netlist.instance
-  | Elatch of { out : string; d : string; g : string; transparent_high : bool;
-                inst : Netlist.instance }
-  | Etri of { out : string; drivers : (string * string) list;
-              inst : Netlist.instance }
+(* What re-evaluates when a net it reads changes. *)
+type reader = Element of Interp.element | Reg of Interp.reg
 
 type t = {
-  nl : Netlist.t;
-  elements : element list;
-  values : (string, bool) Hashtbl.t;
-  readers : (string, element list) Hashtbl.t;  (* net -> elements reading it *)
-  delays : (string, float) Hashtbl.t;          (* element out -> gate delay *)
-  pending : (string, float * bool) Hashtbl.t;  (* net -> scheduled event *)
-  mutable queue : (float * string * bool) list;  (* sorted by time *)
+  design : Interp.design;
+  names : string array;                        (* net -> name *)
+  values : bool array;                         (* by net *)
+  readers : reader list array;                 (* by net *)
+  delays : float array;                        (* by net: its driver's delay *)
+  pending : (float * bool) option array;       (* by net: scheduled event *)
+  mutable queue : (float * string * int * bool) list;
+      (* time, net name, net, value; sorted by time, then net name *)
   mutable now : float;
   mutable transitions : int;
-  latch_store : (string, bool) Hashtbl.t;
-  prev_clock : (string, bool) Hashtbl.t;
+  prev_clock : bool array;                     (* by register slot *)
 }
 
+let set st net v = if net > Interp.const1 then st.values.(net) <- v
+
 let value st net =
-  if net = "$const1" then true
-  else if net = "$const0" then false
-  else match Hashtbl.find_opt st.values net with Some v -> v | None -> false
+  match Hashtbl.find_opt st.design.Interp.ids net with
+  | Some i -> st.values.(i)
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let element_out = function
-  | Ecomb { out; _ } | Elatch { out; _ } | Etri { out; _ } -> out
-  | Eff (f, _) -> f.ff_out
-
-let build (nl : Netlist.t) =
-  let cells = Hashtbl.create 64 in
-  List.iter
-    (fun (i : Netlist.instance) ->
-      match Celllib.find i.cell with
-      | Some c -> Hashtbl.replace cells i.inst_name c
-      | None -> fail "unknown cell %s" i.cell)
-    nl.instances;
-  let is_output_pin = Celllib.is_output_pin in
-  let fanouts = Netlist.fanouts nl ~is_output_pin in
+(* Each net's delay under its static load: that of the cell driving it;
+   on a bus, that of its last tri-state driver. *)
+let delays (nl : Netlist.t) ids =
+  let fanouts = Netlist.fanouts nl ~is_output_pin:Celllib.is_output_pin in
+  let cell (i : Netlist.instance) = Option.get (Celllib.find i.cell) in
   (* per-net load for the delay model *)
   let load_of net =
-    (match Hashtbl.find_opt fanouts net with
-     | None -> 0.0
-     | Some rs ->
-         List.fold_left
-           (fun acc ((i : Netlist.instance), _) ->
-             let c = Hashtbl.find cells i.inst_name in
-             acc +. Celllib.sized_input_load c i.size)
-           0.0 rs)
+    match Hashtbl.find_opt fanouts net with
+    | None -> 0.0
+    | Some rs ->
+        List.fold_left
+          (fun acc ((i : Netlist.instance), _) ->
+            acc +. Celllib.sized_input_load (cell i) i.size)
+          0.0 rs
   in
   let fanout_of net =
     match Hashtbl.find_opt fanouts net with
     | Some rs -> List.length rs
     | None -> if List.mem net nl.outputs then 1 else 0
   in
-  let tri_groups = Hashtbl.create 8 in
-  let elements = ref [] in
-  List.iter
-    (fun (inst : Netlist.instance) ->
-      let cell = Hashtbl.find cells inst.inst_name in
-      let pin p = Netlist.pin_net_exn inst p in
-      match cell.Celllib.kind with
-      | Celllib.Comb ->
-          elements := Ecomb { out = pin cell.Celllib.output; cell; inst } :: !elements
-      | Celllib.Ff { has_set; has_reset } ->
-          elements :=
-            Eff
-              ({ ff_inst = inst.inst_name;
-                 ff_out = pin "Q";
-                 ff_d = pin "D";
-                 ff_ck = pin "CK";
-                 ff_s = (if has_set then Some (pin "S") else None);
-                 ff_r = (if has_reset then Some (pin "R") else None) },
-               inst)
-            :: !elements
-      | Celllib.Latch_cell { transparent_high } ->
-          elements :=
-            Elatch { out = pin "Q"; d = pin "D"; g = pin "G";
-                     transparent_high; inst }
-            :: !elements
-      | Celllib.Tri_cell ->
-          let out = pin "Y" in
-          let prev =
-            match Hashtbl.find_opt tri_groups out with Some l -> l | None -> []
-          in
-          Hashtbl.replace tri_groups out (((pin "A", pin "EN"), inst) :: prev))
-    nl.instances;
-  let tri_elements =
-    Hashtbl.fold
-      (fun out contribs acc ->
-        let drivers = List.rev_map fst contribs in
-        let (_, inst) = List.hd contribs in
-        Etri { out; drivers; inst } :: acc)
-      tri_groups []
+  let delays = Array.make (Hashtbl.length ids) 0.0 in
+  let set_delay (i : Netlist.instance) =
+    let c = cell i in
+    let out = Netlist.pin_net_exn i c.Celllib.output in
+    let d = Celllib.delay c ~size:i.size ~load:(load_of out) ~fanout:(fanout_of out) in
+    delays.(Hashtbl.find ids out) <- Float.max d 0.01
   in
-  let elements = List.rev !elements @ tri_elements in
-  (* element delay under its output's static load *)
-  let delays = Hashtbl.create 64 in
-  List.iter
-    (fun el ->
-      let out = element_out el in
-      let inst =
-        match el with
-        | Ecomb { inst; _ } | Eff (_, inst) | Elatch { inst; _ }
-        | Etri { inst; _ } -> inst
-      in
-      let cell = Hashtbl.find cells inst.Netlist.inst_name in
-      let d =
-        Celllib.delay cell ~size:inst.Netlist.size ~load:(load_of out)
-          ~fanout:(fanout_of out)
-      in
-      Hashtbl.replace delays out (Float.max d 0.01))
-    elements;
-  (* reader index: net -> elements with that net as an input *)
-  let readers = Hashtbl.create 64 in
-  let add_reader net el =
-    let prev = match Hashtbl.find_opt readers net with Some l -> l | None -> [] in
-    Hashtbl.replace readers net (el :: prev)
+  let tris, others =
+    List.partition
+      (fun (i : Netlist.instance) -> (cell i).Celllib.kind = Celllib.Tri_cell)
+      nl.instances
   in
-  List.iter
-    (fun el ->
-      let ins =
-        match el with
-        | Ecomb { inst; cell; _ } ->
-            List.filter_map
-              (fun (p, n) -> if p = cell.Celllib.output then None else Some n)
-              inst.Netlist.conns
-        | Eff (f, _) ->
-            [ f.ff_d; f.ff_ck ] @ Option.to_list f.ff_s @ Option.to_list f.ff_r
-        | Elatch { d; g; _ } -> [ d; g ]
-        | Etri { drivers; _ } ->
-            List.concat_map (fun (d, en) -> [ d; en ]) drivers
-      in
-      List.iter (fun n -> add_reader n el) ins)
-    elements;
-  (elements, readers, delays)
+  List.iter set_delay others;
+  List.iter set_delay tris;
+  delays
 
-let eval_comb st (cell : Celllib.t) (inst : Netlist.instance) =
-  let lookup pin =
-    match Netlist.pin_net inst pin with
-    | Some n -> value st n
-    | None -> fail "cell %s: pin %s unconnected" cell.Celllib.cname pin
-  in
-  let rec ev e =
-    match e with
-    | Icdb_iif.Flat.Fconst b -> b
-    | Icdb_iif.Flat.Fnet p -> lookup p
-    | Icdb_iif.Flat.Fnot e -> not (ev e)
-    | Icdb_iif.Flat.Fand es -> List.for_all ev es
-    | Icdb_iif.Flat.For_ es -> List.exists ev es
-    | Icdb_iif.Flat.Fxor (a, b) -> ev a <> ev b
-    | Icdb_iif.Flat.Fxnor (a, b) -> ev a = ev b
-    | Icdb_iif.Flat.Fbuf e | Icdb_iif.Flat.Fschmitt e
-    | Icdb_iif.Flat.Fdelay (e, _) -> ev e
-    | Icdb_iif.Flat.Ftri _ | Icdb_iif.Flat.Fwor _ ->
-        fail "interface operator in cell function"
-  in
-  match cell.Celllib.logic with
-  | Some f -> ev f
-  | None -> fail "cell %s has no function" cell.Celllib.cname
+(* The nets [e] reads. *)
+let rec reads acc = function
+  | Interp.Const _ | Interp.Raise _ -> acc
+  | Interp.Net i -> i :: acc
+  | Interp.Not e -> reads acc e
+  | Interp.And es | Interp.Or es -> List.fold_left reads acc es
+  | Interp.Xor (a, b) | Interp.Xnor (a, b) | Interp.Tri { data = a; enable = b } ->
+      reads (reads acc a) b
+  | Interp.Wor ds ->
+      List.fold_left
+        (fun acc -> function
+          | Interp.Drive { data; enable } -> reads (reads acc data) enable
+          | Interp.Plain e -> reads acc e)
+        acc ds
 
+(* The first asynchronous condition that holds forces its value. *)
+let forced v (f : Interp.reg) =
+  List.find_map
+    (fun (cond, x) -> if Interp.eval v false cond then Some x else None)
+    f.rasyncs
 
 let create nl =
-  let elements, readers, delays = build nl in
+  let design = Gate_sim.compile nl in
+  let ids = design.Interp.ids in
+  let nets = Hashtbl.length ids in
+  let names = Array.make nets "" in
+  Hashtbl.iter (fun name i -> names.(i) <- name) ids;
+  let readers = Array.make nets [] in
+  let add r es =
+    List.iter (fun i -> readers.(i) <- r :: readers.(i)) (List.fold_left reads [] es)
+  in
+  Array.iter
+    (fun el ->
+      match el with
+      | Interp.Comb { rhs; _ } -> add (Element el) [ rhs ]
+      | Interp.Latch { data; gate; _ } -> add (Element el) [ data; gate ])
+    design.Interp.elements;
+  Array.iter
+    (fun (f : Interp.reg) -> add (Reg f) (f.rdata :: f.rclock :: List.map fst f.rasyncs))
+    design.Interp.regs;
+  let values = Array.make nets false in
+  values.(Interp.const1) <- true;
   let st =
-    { nl;
-      elements;
-      values = Hashtbl.create 128;
+    { design;
+      names;
+      values;
       readers;
-      delays;
-      pending = Hashtbl.create 32;
+      delays = delays nl ids;
+      pending = Array.make nets None;
       queue = [];
       now = 0.0;
       transitions = 0;
-      latch_store = Hashtbl.create 16;
-      prev_clock = Hashtbl.create 16 }
+      prev_clock = Array.make design.Interp.slots false }
   in
-  (* clocks start observed-low, consistent with the all-zero reset
-     state, so the very first rising edge is a real edge *)
-  List.iter
-    (fun el ->
-      match el with
-      | Eff (f, _) -> Hashtbl.replace st.prev_clock f.ff_inst false
-      | _ -> ())
-    elements;
   (* zero-delay settle of the initial state: gates whose inputs never
      change must still start at their evaluated value (a NAND of two
-     zeros is 1 at time 0, not 0) *)
-  let changed = ref true in
-  let guard = ref 0 in
-  while !changed && !guard < List.length elements + 8 do
-    changed := false;
-    incr guard;
-    List.iter
-      (fun el ->
-        match el with
-        | Ecomb { out; cell; inst } ->
-            let v = eval_comb st cell inst in
-            if value st out <> v then begin
-              Hashtbl.replace st.values out v;
-              changed := true
-            end
-        | Elatch { out; d; g; transparent_high; _ } ->
-            let gv = value st g in
-            let transparent = if transparent_high then gv else not gv in
-            if transparent then begin
-              let dv = value st d in
-              Hashtbl.replace st.latch_store out dv;
-              if value st out <> dv then begin
-                Hashtbl.replace st.values out dv;
-                changed := true
-              end
-            end
-        | Etri { out; drivers; _ } ->
-            let enabled =
-              List.filter_map
-                (fun (d, en) -> if value st en then Some (value st d) else None)
-                drivers
-            in
-            (match enabled with
-             | [] -> ()
-             | vs ->
-                 let v = List.exists Fun.id vs in
-                 if value st out <> v then begin
-                   Hashtbl.replace st.values out v;
-                   changed := true
-                 end)
-        | Eff _ -> ())
-      elements
-  done;
+     zeros is 1 at time 0, not 0), and a register whose set or reset
+     already holds starts forced *)
+  let pass () =
+    let changed = ref false in
+    let update net x =
+      if values.(net) <> x then begin
+        set st net x;
+        changed := true
+      end
+    in
+    Array.iter
+      (function
+        | Interp.Comb { target; rhs } ->
+            update target (Interp.eval values values.(target) rhs)
+        | Interp.Latch { target; data; transparent_high; gate; _ } ->
+            if Interp.eval values false gate = transparent_high then
+              update target (Interp.eval values false data))
+      design.Interp.elements;
+    Array.iter
+      (fun (f : Interp.reg) -> Option.iter (update f.rtarget) (forced values f))
+      design.Interp.regs;
+    !changed
+  in
+  let limit = Interp.settle_limit design in
+  let rec settle n = if n < limit && pass () then settle (n + 1) in
+  settle 0;
+  (* each clock starts observed at its settled value, so the first
+     change that rises is a real edge *)
+  Array.iter
+    (fun (f : Interp.reg) -> st.prev_clock.(f.rslot) <- Interp.eval values false f.rclock)
+    design.Interp.regs;
   st
 
 (* ------------------------------------------------------------------ *)
@@ -270,107 +181,66 @@ let create nl =
 
 (* Inertial scheduling: at most one pending transition per net; a new
    target value replaces it (cancelling sub-delay pulses). *)
-let schedule st net target time =
-  let current = value st net in
-  match Hashtbl.find_opt st.pending net with
-  | Some (_, pv) when pv = target -> ()      (* already heading there *)
-  | Some _ ->
-      Hashtbl.remove st.pending net;          (* cancel the stale pulse *)
-      if target <> current then begin
-        Hashtbl.replace st.pending net (time, target);
-        st.queue <- List.merge compare [ (time, net, target) ] st.queue
-      end
-  | None ->
-      if target <> current then begin
-        Hashtbl.replace st.pending net (time, target);
-        st.queue <- List.merge compare [ (time, net, target) ] st.queue
+let schedule st net x =
+  match st.pending.(net) with
+  | Some (_, px) when px = x -> ()      (* already heading there *)
+  | _ ->
+      st.pending.(net) <- None;         (* cancel the stale pulse *)
+      if x <> st.values.(net) then begin
+        let time = st.now +. st.delays.(net) in
+        st.pending.(net) <- Some (time, x);
+        st.queue <- List.merge compare [ (time, st.names.(net), net, x) ] st.queue
       end
 
-(* React to a change on [net]: re-evaluate every reader. *)
+(* Where [net] is heading: its pending value, else its present one. A
+   bus with no driver enabled keeps it, so it schedules nothing. *)
+let heading st net =
+  match st.pending.(net) with Some (_, x) -> x | None -> st.values.(net)
+
+(* React to a change on a net: re-evaluate every reader. A register
+   sees an edge when its clock differs from the one it saw last. *)
 let excite st net =
-  match Hashtbl.find_opt st.readers net with
-  | None -> ()
-  | Some els ->
-      List.iter
-        (fun el ->
-          match el with
-          | Ecomb { out; cell; inst } ->
-              let target = eval_comb st cell inst in
-              schedule st out target (st.now +. Hashtbl.find st.delays out)
-          | Elatch { out; d; g; transparent_high; _ } ->
-              let gv = value st g in
-              let transparent = if transparent_high then gv else not gv in
-              if transparent then begin
-                let dv = value st d in
-                Hashtbl.replace st.latch_store out dv;
-                schedule st out dv (st.now +. Hashtbl.find st.delays out)
-              end
-          | Etri { out; drivers; _ } ->
-              let enabled =
-                List.filter_map
-                  (fun (d, en) -> if value st en then Some (value st d) else None)
-                  drivers
-              in
-              (match enabled with
-               | [] -> ()  (* bus keeper *)
-               | vs ->
-                   schedule st out (List.exists Fun.id vs)
-                     (st.now +. Hashtbl.find st.delays out))
-          | Eff (f, _) ->
-              let clk = value st f.ff_ck in
-              let prev =
-                match Hashtbl.find_opt st.prev_clock f.ff_inst with
-                | Some p -> p
-                | None -> clk
-              in
-              let forced =
-                match f.ff_r, f.ff_s with
-                | Some r, _ when value st r -> Some false
-                | _, Some s when value st s -> Some true
-                | _ -> None
-              in
-              (match forced with
-               | Some v ->
-                   schedule st f.ff_out v
-                     (st.now +. Hashtbl.find st.delays f.ff_out)
-               | None ->
-                   if net = f.ff_ck && (not prev) && clk then
-                     (* rising edge: sample D as of now *)
-                     schedule st f.ff_out (value st f.ff_d)
-                       (st.now +. Hashtbl.find st.delays f.ff_out));
-              if net = f.ff_ck then
-                Hashtbl.replace st.prev_clock f.ff_inst clk)
-        els
+  let v = st.values in
+  List.iter
+    (function
+      | Element (Interp.Comb { target; rhs }) ->
+          schedule st target (Interp.eval v (heading st target) rhs)
+      | Element (Interp.Latch { target; data; transparent_high; gate; _ }) ->
+          if Interp.eval v false gate = transparent_high then
+            schedule st target (Interp.eval v false data)
+      | Reg f -> (
+          let clk = Interp.eval v false f.rclock in
+          let prev = st.prev_clock.(f.rslot) in
+          st.prev_clock.(f.rslot) <- clk;
+          match forced v f with
+          | Some x -> schedule st f.rtarget x
+          | None ->
+              if (if f.rrising then (not prev) && clk else prev && not clk) then
+                (* the edge samples D as of now *)
+                schedule st f.rtarget (Interp.eval v false f.rdata)))
+    st.readers.(net)
 
 let max_events = 200000
 
 (* Run the wheel until quiescence; returns the time of the last event. *)
-let run st =
-  let guard = ref 0 in
-  let last = ref st.now in
-  let rec loop () =
-    match st.queue with
-    | [] -> ()
-    | (time, net, v) :: rest ->
-        st.queue <- rest;
-        (match Hashtbl.find_opt st.pending net with
-         | Some (pt, pv) when pt = time && pv = v ->
-             Hashtbl.remove st.pending net;
-             incr guard;
-             if !guard > max_events then
-               fail "event limit exceeded (oscillation in %s?)" st.nl.Netlist.name;
-             st.now <- time;
-             last := time;
-             if value st net <> v then begin
-               Hashtbl.replace st.values net v;
-               st.transitions <- st.transitions + 1;
-               excite st net
-             end
-         | _ -> ());  (* stale entry: lazily discarded *)
-        loop ()
-  in
-  loop ();
-  !last
+let rec run st last events =
+  match st.queue with
+  | [] -> last
+  | (time, _, net, x) :: rest -> (
+      st.queue <- rest;
+      match st.pending.(net) with
+      | Some (pt, px) when pt = time && px = x ->
+          st.pending.(net) <- None;
+          if events >= max_events then
+            fail "event limit exceeded (oscillation in %s?)" st.design.Interp.name;
+          st.now <- time;
+          if st.values.(net) <> x then begin
+            set st net x;
+            st.transitions <- st.transitions + 1;
+            excite st net
+          end;
+          run st time (events + 1)
+      | _ -> run st last events (* stale entry: lazily discarded *))
 
 (* Apply an input vector at the current time and run to quiescence.
    Returns (settling delay, transitions caused). *)
@@ -378,21 +248,25 @@ let apply st inputs =
   let t0 = st.now in
   let trans0 = st.transitions in
   List.iter
-    (fun (n, v) ->
-      if not (List.mem n st.nl.Netlist.inputs) then
-        fail "Event_sim.apply: %s is not an input" n;
-      if value st n <> v then begin
-        Hashtbl.replace st.values n v;
-        st.transitions <- st.transitions + 1;
-        excite st n
-      end)
+    (fun (n, x) ->
+      match Hashtbl.find_opt st.design.Interp.inputs n with
+      | None -> fail "Event_sim.apply: %s is not an input" n
+      | Some i ->
+          if st.values.(i) <> x then begin
+            set st i x;
+            st.transitions <- st.transitions + 1;
+            excite st i
+          end)
     inputs;
-  let t_end = run st in
+  let t_end = run st st.now 0 in
   (* advance time so successive vectors do not overlap *)
   st.now <- Float.max st.now t_end;
   (t_end -. t0, st.transitions - trans0)
 
-let outputs st = List.map (fun o -> (o, value st o)) st.nl.Netlist.outputs
+let outputs st =
+  Array.fold_right
+    (fun (o, i) acc -> (o, st.values.(i)) :: acc)
+    st.design.Interp.outputs []
 
 let transitions st = st.transitions
 

@@ -12,12 +12,15 @@ exception Event_error of string
 type t
 
 val create : Icdb_netlist.Netlist.t -> t
+(** Compiles through {!Gate_sim.compile}, and raises what it raises.
+    A register whose set or reset holds at time zero starts forced. *)
 
 val apply : t -> (string * bool) list -> float * int
 (** Apply an input vector at the current time and run to quiescence.
     Returns (settling delay in ns, transitions caused — including
     glitch pulses). @raise Event_error on non-input nets or an
-    exceeded event budget (oscillation). *)
+    exceeded event budget (oscillation); @raise Gate_sim.Sim_error when
+    evaluation reaches an unconnected pin. *)
 
 val value : t -> string -> bool
 val outputs : t -> (string * bool) list

@@ -1,56 +1,24 @@
-(** Gate-level simulator over cell netlists (the VHDL-simulator role in
-    the Figure 8 generation path).
+(** Gate-level front end of the two-valued machine (the VHDL-simulator
+    role in the Figure 8 generation path).
 
-    Cells evaluate through their library logic functions; flip-flops
-    are rising-edge (the mapper inverts falling-edge clocks), latches
-    hold when opaque, and tri-state groups resolve as wired-or with
-    bus-keeper behaviour. Semantics mirror {!Icdb_iif.Interp} so the
-    two can be compared step by step. *)
+    [compile] turns a cell netlist into {!Icdb_iif.Interp}'s compiled
+    form, so a netlist runs on the same machine as its IIF
+    specification and the two can be compared step by step. Cells
+    evaluate through their library logic functions; flip-flops are
+    rising-edge (the mapper inverts falling-edge clocks) with reset
+    winning over set, latches hold when opaque, and tri-state groups
+    resolve as wired-or with bus-keeper behaviour. State slots are
+    numbered by instance. *)
 
 exception Sim_error of string
 
-type t
+val compile : Icdb_netlist.Netlist.t -> Icdb_iif.Interp.design
+(** @raise Sim_error on unknown cells; @raise Invalid_argument on a
+    missing output, sequential or tri-state pin. An unconnected input
+    pin of a combinational cell, or a cell without a function, raises
+    [Sim_error] only when evaluation reaches it. Stepping the design
+    raises [Sim_error] for a name that is not an input and for
+    oscillating feedback. *)
 
-val create : Icdb_netlist.Netlist.t -> t
-(** @raise Sim_error on unknown cells or unconnected pins (lazily, at
-    first evaluation for some conditions). *)
-
-val step : t -> (string * bool) list -> unit
-(** Apply input values, settle combinational logic and update
-    registers (iterating for rippled clocks).
-    @raise Sim_error if a named net is not an input, or on oscillating
-    feedback. *)
-
-val value : t -> string -> bool
-(** Current value of a net ("$const0"/"$const1" read as constants). *)
-
-val outputs : t -> (string * bool) list
-
-val output : t -> int -> bool
-(** [output st k]: the current value of the [k]-th primary output. *)
-
-val poke : t -> string -> bool -> unit
-(** Force a net value. *)
-
-(** {2 Word mode}
-
-    Each net is one native int whose lane [l] holds the net's value
-    under the [l]-th of up to 63 input vectors. *)
-
-type words
-
-val words : t -> words option
-(** The netlist's cells in topological order, when it has only
-    combinational cells, no tri-state group, no unconnected pin or cell
-    without a function, every net driven at most once, no input driven,
-    no constant net driven except by a tie cell of its own value, and no
-    cycle: then every net is a function of the present inputs alone.
-    [None] otherwise. *)
-
-val step_words : words -> (string * int) list -> unit
-(** Set input words, then evaluate every cell once. Writes to a
-    constant net are ignored, as in {!step}.
-    @raise Sim_error if a named net is not an input. *)
-
-val output_words : words -> int array
-(** The primary outputs' words, in declaration order. *)
+val create : Icdb_netlist.Netlist.t -> Icdb_iif.Interp.t
+(** [Interp.of_design (compile nl)]. *)

@@ -1,6 +1,6 @@
 (* Four-valued gate-level simulation (0 / 1 / X / Z).
 
-   The two-valued simulators start every register at zero, which hides
+   The two-valued machine starts every register at zero, which hides
    initialization bugs. This simulator starts state elements at X and
    propagates unknowns pessimistically, so a synthesis tool can ask the
    question that matters before committing a component: after this
@@ -8,10 +8,14 @@
 
    Z only arises from disabled tri-state drivers; at any gate input it
    reads as X. Bus resolution: drivers at Z are ignored, agreeing
-   drivers win, conflicts give X. *)
+   drivers win, conflicts give X.
 
+   It runs on the form Gate_sim's front end compiles a netlist into,
+   with values, latch state and clock history in arrays indexed by net
+   number or state slot. *)
+
+open Icdb_iif
 open Icdb_netlist
-open Icdb_logic
 
 exception Xsim_error of string
 
@@ -56,238 +60,159 @@ let resolve a b =
   | _ -> VX
 
 (* ------------------------------------------------------------------ *)
-(* Compiled form (parallel to Gate_sim)                                *)
+(* Simulation over the compiled form                                   *)
 (* ------------------------------------------------------------------ *)
 
-type ff_info = {
-  inst : string;
-  out : string;
-  d : string;
-  ck : string;
-  s : string option;
-  r : string option;
-}
-
-type compiled =
-  | Ccomb of { out : string; cell : Celllib.t; pins : (string * string) list }
-  | Cff of ff_info
-  | Clatch of { inst : string; out : string; d : string; g : string;
-                transparent_high : bool }
-  | Ctri_group of { out : string; drivers : (string * string) list }
-
 type t = {
-  nl : Netlist.t;
-  elements : compiled list;
-  values : (string, v) Hashtbl.t;
-  prev_clock : (string, v) Hashtbl.t;
-  latch_store : (string, v) Hashtbl.t;
+  design : Interp.design;
+  values : v array;                   (* by net *)
+  prev_clock : v option array;        (* by register slot: clock seen last *)
+  latch_held : v array;               (* by latch slot: X until transparent *)
 }
-
-let compile (nl : Netlist.t) =
-  let tri_groups = Hashtbl.create 8 in
-  let elements = ref [] in
-  List.iter
-    (fun (inst : Netlist.instance) ->
-      let cell =
-        match Celllib.find inst.cell with
-        | Some c -> c
-        | None -> fail "unknown cell %s" inst.cell
-      in
-      let pin p = Netlist.pin_net_exn inst p in
-      match cell.Celllib.kind with
-      | Celllib.Comb ->
-          elements :=
-            Ccomb { out = pin cell.Celllib.output; cell; pins = inst.conns }
-            :: !elements
-      | Celllib.Ff { has_set; has_reset } ->
-          elements :=
-            Cff
-              { inst = inst.inst_name;
-                out = pin "Q";
-                d = pin "D";
-                ck = pin "CK";
-                s = (if has_set then Some (pin "S") else None);
-                r = (if has_reset then Some (pin "R") else None) }
-            :: !elements
-      | Celllib.Latch_cell { transparent_high } ->
-          elements :=
-            Clatch
-              { inst = inst.inst_name; out = pin "Q"; d = pin "D";
-                g = pin "G"; transparent_high }
-            :: !elements
-      | Celllib.Tri_cell ->
-          let out = pin "Y" in
-          let prev =
-            match Hashtbl.find_opt tri_groups out with Some l -> l | None -> []
-          in
-          Hashtbl.replace tri_groups out ((pin "A", pin "EN") :: prev))
-    nl.Netlist.instances;
-  let tris =
-    Hashtbl.fold
-      (fun out drivers acc ->
-        Ctri_group { out; drivers = List.rev drivers } :: acc)
-      tri_groups []
-  in
-  List.rev !elements @ tris
 
 (* Every net (including register outputs) starts at X. *)
 let create nl =
-  let st =
-    { nl;
-      elements = compile nl;
-      values = Hashtbl.create 128;
-      prev_clock = Hashtbl.create 16;
-      latch_store = Hashtbl.create 16 }
-  in
-  List.iter (fun n -> Hashtbl.replace st.values n VX) (Netlist.nets nl);
-  st
+  let design = Gate_sim.compile nl in
+  let values = Array.make (Hashtbl.length design.Interp.ids) VX in
+  values.(Interp.const0) <- V0;
+  values.(Interp.const1) <- V1;
+  { design;
+    values;
+    prev_clock = Array.make design.Interp.slots None;
+    latch_held = Array.make design.Interp.slots VX }
+
+let set st net x = if net > Interp.const1 then st.values.(net) <- x
 
 let value st net =
-  if net = "$const1" then V1
-  else if net = "$const0" then V0
-  else match Hashtbl.find_opt st.values net with Some v -> v | None -> VX
+  match Hashtbl.find_opt st.design.Interp.ids net with
+  | Some i -> st.values.(i)
+  | None -> VX
 
-let eval_cell st (cell : Celllib.t) pins =
-  let lookup pin =
-    match List.assoc_opt pin pins with
-    | Some n -> value st n
-    | None -> fail "cell %s: pin %s unconnected" cell.Celllib.cname pin
-  in
-  let rec ev e =
-    match e with
-    | Icdb_iif.Flat.Fconst b -> of_bool b
-    | Icdb_iif.Flat.Fnet p -> lookup p
-    | Icdb_iif.Flat.Fnot e -> v_not (ev e)
-    | Icdb_iif.Flat.Fand es ->
-        List.fold_left (fun acc e -> v_and acc (ev e)) V1 es
-    | Icdb_iif.Flat.For_ es ->
-        List.fold_left (fun acc e -> v_or acc (ev e)) V0 es
-    | Icdb_iif.Flat.Fxor (a, b) -> v_xor (ev a) (ev b)
-    | Icdb_iif.Flat.Fxnor (a, b) -> v_not (v_xor (ev a) (ev b))
-    | Icdb_iif.Flat.Fbuf e | Icdb_iif.Flat.Fschmitt e -> strengthen (ev e)
-    | Icdb_iif.Flat.Fdelay (e, _) -> strengthen (ev e)
-    | Icdb_iif.Flat.Ftri _ | Icdb_iif.Flat.Fwor _ ->
-        fail "cell %s: interface operator in cell function" cell.Celllib.cname
-  in
-  match cell.Celllib.logic with
-  | Some f -> ev f
-  | None -> fail "cell %s has no combinational function" cell.Celllib.cname
+(* A net reads strengthened: Z only leaves a bus through a gate input,
+   as X. Every operand of AND and OR is evaluated, and XOR reads its
+   right operand first, which decides the [Raise] reached. *)
+let rec eval v e =
+  match e with
+  | Interp.Const b -> of_bool b
+  | Interp.Net i -> strengthen v.(i)
+  | Interp.Raise exn -> raise exn
+  | Interp.Not e -> v_not (eval v e)
+  | Interp.And es -> List.fold_left (fun acc e -> v_and acc (eval v e)) V1 es
+  | Interp.Or es -> List.fold_left (fun acc e -> v_or acc (eval v e)) V0 es
+  | Interp.Xor (a, b) ->
+      let y = eval v b in
+      v_xor (eval v a) y
+  | Interp.Xnor (a, b) ->
+      let y = eval v b in
+      v_not (v_xor (eval v a) y)
+  | Interp.Tri { data; enable } -> drive v data enable
+  | Interp.Wor ds ->
+      List.fold_left
+        (fun acc d ->
+          resolve acc
+            (match d with
+             | Interp.Drive { data; enable } -> drive v data enable
+             | Interp.Plain e -> eval v e))
+        VZ ds
+
+(* A tri-state driver's contribution: Z when disabled, X when its
+   enable is unknown. *)
+and drive v data enable =
+  match eval v enable with V1 -> eval v data | V0 -> VZ | _ -> VX
 
 let comb_pass st =
+  let v = st.values in
   let changed = ref false in
-  let update out v =
-    if value st out <> v then begin
-      Hashtbl.replace st.values out v;
+  let update out x =
+    if v.(out) <> x then begin
+      set st out x;
       changed := true
     end
   in
-  List.iter
-    (fun el ->
-      match el with
-      | Ccomb { out; cell; pins } -> update out (eval_cell st cell pins)
-      | Clatch { inst; out; d; g; transparent_high } ->
-          let gv = strengthen (value st g) in
-          let active = if transparent_high then V1 else V0 in
-          let inactive = if transparent_high then V0 else V1 in
-          let v =
-            if gv = active then begin
-              let dv = strengthen (value st d) in
-              Hashtbl.replace st.latch_store inst dv;
-              dv
-            end
-            else if gv = inactive then
-              match Hashtbl.find_opt st.latch_store inst with
-              | Some held -> held
-              | None -> VX
-            else VX  (* unknown gate: output unknown *)
+  Array.iter
+    (function
+      | Interp.Comb { target; rhs } -> update target (eval v rhs)
+      | Interp.Latch { slot; target; data; transparent_high; gate } ->
+          let x =
+            match eval v gate with
+            | (V0 | V1) as g when (g = V1) = transparent_high ->
+                let d = eval v data in
+                st.latch_held.(slot) <- d;
+                d
+            | V0 | V1 -> st.latch_held.(slot)
+            | _ -> VX  (* unknown gate: output unknown *)
           in
-          update out v
-      | Ctri_group { out; drivers } ->
-          let contribution (d, en) =
-            match strengthen (value st en) with
-            | V1 -> strengthen (value st d)
-            | V0 -> VZ
-            | _ -> VX
-          in
-          let v = List.fold_left (fun acc dr -> resolve acc (contribution dr)) VZ drivers in
-          update out v
-      | Cff _ -> ())
-    st.elements;
+          update target x)
+    st.design.Interp.elements;
   !changed
 
+(* Oscillating feedback stops where the pass limit leaves it rather
+   than failing. *)
 let settle st =
-  let limit = List.length st.elements + 8 in
-  let rec loop n =
-    if comb_pass st then
-      if n >= limit then
-        (* force unstable feedback to X rather than failing: X is the
-           honest answer for an oscillating node *)
-        ()
-      else loop (n + 1)
-  in
+  let limit = Interp.settle_limit st.design in
+  let rec loop n = if comb_pass st && n < limit then loop (n + 1) in
   loop 0
 
+(* The first asynchronous condition, in priority order, that is not 0
+   decides: 1 forces its value, X gives X. *)
+let rec forced v = function
+  | [] -> None
+  | (cond, x) :: asyncs -> (
+      match eval v cond with
+      | V0 -> forced v asyncs
+      | V1 -> Some (of_bool x)
+      | _ -> Some VX)
+
 let update_registers st =
-  let regs =
-    List.filter_map
-      (fun el -> match el with Cff f -> Some f | _ -> None)
-      st.elements
-  in
-  let rounds = List.length regs + 2 in
+  let v = st.values and regs = st.design.Interp.regs in
+  let rounds = Array.length regs + 2 in
   let rec loop n =
     settle st;
+    let any_change = ref false in
     let updates =
-      List.map
-        (fun f ->
-          let clk = strengthen (value st f.ck) in
-          let prev_clk =
-            match Hashtbl.find_opt st.prev_clock f.inst with
-            | Some p -> p
-            | None -> clk
-          in
-          let current = value st f.out in
+      Array.map
+        (fun (f : Interp.reg) ->
+          let clk = eval v f.rclock in
+          let prev_clk = Option.value st.prev_clock.(f.rslot) ~default:clk in
+          let current = v.(f.rtarget) in
           let sampled =
             match prev_clk, clk with
-            | V0, V1 -> strengthen (value st f.d)   (* clean rising edge *)
+            | (V0, V1 | V1, V0) when (clk = V1) = f.rrising -> eval v f.rdata
             | (V0 | V1), (V0 | V1) -> current       (* no edge *)
             | _ ->
                 (* unknown clock: the register may or may not have
                    clocked; only keep the value if old and new agree *)
-                let d = strengthen (value st f.d) in
+                let d = eval v f.rdata in
                 if d = current then current else VX
           in
-          let forced =
-            match f.r, f.s with
-            | Some r, _ when strengthen (value st r) = V1 -> Some V0
-            | _, Some s when strengthen (value st s) = V1 -> Some V1
-            | Some r, _ when strengthen (value st r) = VX -> Some VX
-            | _, Some s when strengthen (value st s) = VX -> Some VX
-            | _ -> None
-          in
-          let next = match forced with Some v -> v | None -> sampled in
-          (f.inst, f.out, clk, next, next <> current))
+          let next = match forced v f.rasyncs with Some x -> x | None -> sampled in
+          if next <> current then any_change := true;
+          (clk, next))
         regs
     in
-    let any_change = List.exists (fun (_, _, _, _, c) -> c) updates in
-    List.iter
-      (fun (inst, out, clk, next, _) ->
-        Hashtbl.replace st.prev_clock inst clk;
-        Hashtbl.replace st.values out next)
-      updates;
-    if any_change && n < rounds then loop (n + 1) else settle st
+    Array.iteri
+      (fun k (f : Interp.reg) ->
+        let clk, next = updates.(k) in
+        st.prev_clock.(f.rslot) <- Some clk;
+        set st f.rtarget next)
+      regs;
+    if !any_change && n < rounds then loop (n + 1) else settle st
   in
   loop 0
 
 let step st inputs =
   List.iter
-    (fun (n, v) ->
-      if not (List.mem n st.nl.Netlist.inputs) then
-        fail "Xsim.step: %s is not an input of %s" n st.nl.Netlist.name;
-      Hashtbl.replace st.values n v)
+    (fun (n, x) ->
+      match Hashtbl.find_opt st.design.Interp.inputs n with
+      | Some i -> set st i x
+      | None -> fail "Xsim.step: %s is not an input of %s" n st.design.Interp.name)
     inputs;
   update_registers st
 
-let outputs st = List.map (fun o -> (o, value st o)) st.nl.Netlist.outputs
+let outputs st =
+  Array.fold_right
+    (fun (o, i) acc -> (o, st.values.(i)) :: acc)
+    st.design.Interp.outputs []
 
 let undefined_outputs st =
   List.filter_map

@@ -25,11 +25,16 @@ val resolve : v -> v -> v
 type t
 
 val create : Icdb_netlist.Netlist.t -> t
-(** Every net starts at X. *)
+(** Every net starts at X. Compiles through {!Gate_sim.compile}, and
+    raises what it raises. *)
 
 val step : t -> (string * v) list -> unit
 (** Apply input values and settle (oscillating feedback resolves to X
-    rather than failing). @raise Xsim_error on non-input nets. *)
+    rather than failing). Of a register's asynchronous conditions, in
+    priority order (reset before set), the first that is not 0 decides:
+    1 forces its value, X gives X. @raise Xsim_error on non-input nets;
+    @raise Gate_sim.Sim_error when evaluation reaches an unconnected
+    pin. *)
 
 val value : t -> string -> v
 val outputs : t -> (string * v) list

@@ -57,7 +57,7 @@ let estimate ?(vectors = 64) ?(seed = 7) (nl : Netlist.t) =
   let record () =
     List.iter
       (fun ((i : Netlist.instance), _, net) ->
-        let v = Icdb_sim.Gate_sim.value sim net in
+        let v = Icdb_iif.Interp.value sim net in
         (match Hashtbl.find_opt last i.inst_name with
          | Some prev when prev <> v ->
              Hashtbl.replace toggles i.inst_name
@@ -84,7 +84,7 @@ let estimate ?(vectors = 64) ?(seed = 7) (nl : Netlist.t) =
           (n, v))
         inputs
     in
-    Icdb_sim.Gate_sim.step sim assignment;
+    Icdb_iif.Interp.step sim assignment;
     record ()
   done;
   let activities =

@@ -221,7 +221,7 @@ let read_bus sim base width =
   let v = ref 0 in
   for i = width - 1 downto 0 do
     v := (!v lsl 1)
-         lor (if Icdb_sim.Gate_sim.value sim (Printf.sprintf "%s[%d]" base i)
+         lor (if Icdb_iif.Interp.value sim (Printf.sprintf "%s[%d]" base i)
               then 1 else 0)
   done;
   !v
@@ -235,7 +235,7 @@ let test_attr_active_low_inputs () =
   in
   let sim = Icdb_sim.Gate_sim.create inst.Instance.netlist in
   let add a b =
-    Icdb_sim.Gate_sim.step sim
+    Icdb_iif.Interp.step sim
       (drive_bus "I0" 4 (lnot a land 15)
       @ drive_bus "I1" 4 (lnot b land 15)
       @ [ ("Cin", true) ] (* active low: true pad = logical 0 *));
@@ -250,12 +250,12 @@ let test_attr_active_low_outputs () =
     request server "comparator" [ ("size", 3); ("output_type", 0) ]
   in
   let sim = Icdb_sim.Gate_sim.create inst.Instance.netlist in
-  Icdb_sim.Gate_sim.step sim (drive_bus "A" 3 5 @ drive_bus "B" 3 5);
+  Icdb_iif.Interp.step sim (drive_bus "A" 3 5 @ drive_bus "B" 3 5);
   (* equal, but OEQ is active low now *)
   check Alcotest.bool "OEQ low when equal" false
-    (Icdb_sim.Gate_sim.value sim "OEQ");
+    (Icdb_iif.Interp.value sim "OEQ");
   check Alcotest.bool "OGT high (inactive)" true
-    (Icdb_sim.Gate_sim.value sim "OGT")
+    (Icdb_iif.Interp.value sim "OGT")
 
 let test_attr_output_tri_state () =
   with_server @@ fun server ->
@@ -265,10 +265,10 @@ let test_attr_output_tri_state () =
   check Alcotest.bool "OE input added" true
     (List.mem "OE" inst.Instance.netlist.Icdb_netlist.Netlist.inputs);
   let sim = Icdb_sim.Gate_sim.create inst.Instance.netlist in
-  Icdb_sim.Gate_sim.step sim
+  Icdb_iif.Interp.step sim
     (drive_bus "I0" 2 3 @ drive_bus "I1" 2 0 @ [ ("SEL", false); ("OE", true) ]);
   check Alcotest.int "driving" 3 (read_bus sim "O" 2);
-  Icdb_sim.Gate_sim.step sim
+  Icdb_iif.Interp.step sim
     (drive_bus "I0" 2 0 @ drive_bus "I1" 2 0 @ [ ("SEL", false); ("OE", false) ]);
   check Alcotest.int "released: bus keeps value" 3 (read_bus sim "O" 2)
 
@@ -284,13 +284,13 @@ let test_attr_output_latch () =
     drive_bus "I0" 2 a @ drive_bus "I1" 2 b @ [ ("Cin", false); ("CLK", clk) ]
   in
   (* load 1+1 through a clock edge *)
-  Icdb_sim.Gate_sim.step sim (inputs 1 1 false);
-  Icdb_sim.Gate_sim.step sim (inputs 1 1 true);
+  Icdb_iif.Interp.step sim (inputs 1 1 false);
+  Icdb_iif.Interp.step sim (inputs 1 1 true);
   check Alcotest.int "captured 2" 2 (read_bus sim "O" 2);
   (* change operands with clock low: output holds *)
-  Icdb_sim.Gate_sim.step sim (inputs 3 0 false);
+  Icdb_iif.Interp.step sim (inputs 3 0 false);
   check Alcotest.int "held" 2 (read_bus sim "O" 2);
-  Icdb_sim.Gate_sim.step sim (inputs 3 0 true);
+  Icdb_iif.Interp.step sim (inputs 3 0 true);
   check Alcotest.int "captures 3" 3 (read_bus sim "O" 2)
 
 let test_attr_input_latch () =
@@ -303,11 +303,11 @@ let test_attr_input_latch () =
     drive_bus "I0" 2 a @ drive_bus "I1" 2 b @ [ ("Cin", false); ("CLK", clk) ]
   in
   (* transparent while CLK high *)
-  Icdb_sim.Gate_sim.step sim (inputs 1 2 true);
+  Icdb_iif.Interp.step sim (inputs 1 2 true);
   check Alcotest.int "transparent" 3 (read_bus sim "O" 2);
   (* opaque while CLK low: operand changes are ignored *)
-  Icdb_sim.Gate_sim.step sim (inputs 1 2 false);
-  Icdb_sim.Gate_sim.step sim (inputs 3 3 false);
+  Icdb_iif.Interp.step sim (inputs 1 2 false);
+  Icdb_iif.Interp.step sim (inputs 3 3 false);
   check Alcotest.int "held operands" 3 (read_bus sim "O" 2)
 
 let test_attr_distinct_cache_entries () =

@@ -219,8 +219,8 @@ let test_controller_generates () =
 let test_controller_strobe_timing () =
   let r, c = controller_for Dfg.diffeq 30.0 in
   let sim = Icdb_sim.Gate_sim.create c.Controller.c_instance.Icdb.Instance.netlist in
-  Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", true) ];
-  Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", false) ];
+  Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", true) ];
+  Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", false) ];
   for step = 0 to r.Schedule.r_steps - 1 do
     (* every op starting this step must have its unit's GO high *)
     List.iter
@@ -229,27 +229,27 @@ let test_controller_strobe_timing () =
           check Alcotest.bool
             (Printf.sprintf "%s GO at step %d" s.Schedule.so_unit step)
             true
-            (Icdb_sim.Gate_sim.value sim ("GO_" ^ s.Schedule.so_unit)))
+            (Icdb_iif.Interp.value sim ("GO_" ^ s.Schedule.so_unit)))
       r.Schedule.r_ops;
     check Alcotest.bool
       (Printf.sprintf "DONE only at the last step (%d)" step)
       (step = r.Schedule.r_steps - 1)
-      (Icdb_sim.Gate_sim.value sim "DONE");
-    Icdb_sim.Gate_sim.step sim [ ("CLK", true); ("RESET", false) ];
-    Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", false) ]
+      (Icdb_iif.Interp.value sim "DONE");
+    Icdb_iif.Interp.step sim [ ("CLK", true); ("RESET", false) ];
+    Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", false) ]
   done
 
 let test_controller_ring_wraps () =
   let r, c = controller_for Dfg.fir4 40.0 in
   let sim = Icdb_sim.Gate_sim.create c.Controller.c_instance.Icdb.Instance.netlist in
-  Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", true) ];
-  Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", false) ];
+  Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", true) ];
+  Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", false) ];
   (* two full passes: DONE fires exactly twice *)
   let dones = ref 0 in
   for _ = 1 to 2 * r.Schedule.r_steps do
-    if Icdb_sim.Gate_sim.value sim "DONE" then incr dones;
-    Icdb_sim.Gate_sim.step sim [ ("CLK", true); ("RESET", false) ];
-    Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", false) ]
+    if Icdb_iif.Interp.value sim "DONE" then incr dones;
+    Icdb_iif.Interp.step sim [ ("CLK", true); ("RESET", false) ];
+    Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", false) ]
   done;
   check Alcotest.int "wraps around" 2 !dones
 
@@ -269,17 +269,17 @@ let test_controller_encodings_equivalent () =
   let strobe_trace enc =
     let c = Controller.generate ~encoding:enc s r in
     let sim = Icdb_sim.Gate_sim.create c.Controller.c_instance.Icdb.Instance.netlist in
-    Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", true) ];
-    Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", false) ];
+    Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", true) ];
+    Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", false) ];
     let trace = ref [] in
     for _ = 0 to r.Schedule.r_steps - 1 do
       trace :=
         List.map
-          (fun o -> Icdb_sim.Gate_sim.value sim o)
+          (fun o -> Icdb_iif.Interp.value sim o)
           c.Controller.c_outputs
         :: !trace;
-      Icdb_sim.Gate_sim.step sim [ ("CLK", true); ("RESET", false) ];
-      Icdb_sim.Gate_sim.step sim [ ("CLK", false); ("RESET", false) ]
+      Icdb_iif.Interp.step sim [ ("CLK", true); ("RESET", false) ];
+      Icdb_iif.Interp.step sim [ ("CLK", false); ("RESET", false) ]
     done;
     (c, List.rev !trace)
   in

@@ -373,17 +373,17 @@ let test_appendix_register_pipeline () =
   (* behavioural spot-check: load 1010, hold, reload *)
   let sim = Gate_sim.create nl in
   let step load bits clk =
-    Gate_sim.step sim
+    Interp.step sim
       [ ("Load", load); ("I0", List.nth bits 0); ("I1", List.nth bits 1);
         ("I2", List.nth bits 2); ("I3", List.nth bits 3); ("Clock", clk) ]
   in
   step true [ false; true; false; true ] false;
   step true [ false; true; false; true ] true;
-  check Alcotest.bool "A1 loaded" true (Gate_sim.value sim "A1");
-  check Alcotest.bool "A0 clear" false (Gate_sim.value sim "A0");
+  check Alcotest.bool "A1 loaded" true (Interp.value sim "A1");
+  check Alcotest.bool "A0 clear" false (Interp.value sim "A0");
   step false [ true; false; true; false ] false;
   step false [ true; false; true; false ] true;
-  check Alcotest.bool "held with Load low" true (Gate_sim.value sim "A1")
+  check Alcotest.bool "held with Load low" true (Interp.value sim "A1")
 
 let test_appendix_dffsr_pipeline () =
   let d = Parser.parse appendix_dffsr in
@@ -397,18 +397,18 @@ let test_appendix_dffsr_pipeline () =
    | m -> Alcotest.fail (Equiv.result_to_string m));
   let sim = Gate_sim.create nl in
   let step d clk rst st =
-    Gate_sim.step sim [ ("D", d); ("clk", clk); ("reset", rst); ("set", st) ]
+    Interp.step sim [ ("D", d); ("clk", clk); ("reset", rst); ("set", st) ]
   in
   (* actives are low: idle = both high *)
   step true true true true;
   step true false true true;  (* falling edge samples D=1 *)
-  check Alcotest.bool "captured on falling edge" true (Gate_sim.value sim "Q");
+  check Alcotest.bool "captured on falling edge" true (Interp.value sim "Q");
   step false true true true;  (* rising edge: no capture *)
-  check Alcotest.bool "rising edge ignored" true (Gate_sim.value sim "Q");
+  check Alcotest.bool "rising edge ignored" true (Interp.value sim "Q");
   step false false true false;  (* async set (active low) *)
-  check Alcotest.bool "async set" true (Gate_sim.value sim "Q");
+  check Alcotest.bool "async set" true (Interp.value sim "Q");
   step true true false true;  (* async reset *)
-  check Alcotest.bool "async reset" false (Gate_sim.value sim "Q")
+  check Alcotest.bool "async reset" false (Interp.value sim "Q")
 
 (* gate-count sanity: bigger parameters give bigger netlists *)
 let test_map_monotone_size () =

@@ -59,6 +59,30 @@ let test_x_controlling_value_masks_x () =
   Xsim.step st [ ("a", Xsim.V1); ("b", Xsim.VX) ];
   check Alcotest.bool "X passes" true (Xsim.value st "y" = Xsim.VX)
 
+(* A DFF_SR's asynchronous inputs in priority order, reset before set:
+   the first that is not 0 decides, 1 forcing its value and X giving X.
+   Each row steps a fresh register (Q starts at X) without a clock
+   edge. *)
+let test_x_async_priority () =
+  let nl =
+    { Netlist.name = "sr"; inputs = [ "d"; "ck"; "s"; "r" ]; outputs = [ "q" ];
+      instances =
+        [ { Netlist.inst_name = "f"; cell = "DFF_SR"; size = 1.0;
+            conns = [ ("D", "d"); ("CK", "ck"); ("S", "s"); ("R", "r"); ("Q", "q") ] } ] }
+  in
+  List.iter
+    (fun (s, r, q) ->
+      let st = Xsim.create nl in
+      Xsim.step st [ ("d", Xsim.V0); ("ck", Xsim.V0); ("s", s); ("r", r) ];
+      check Alcotest.string
+        (Printf.sprintf "S=%s R=%s" (Xsim.v_to_string s) (Xsim.v_to_string r))
+        (Xsim.v_to_string q)
+        (Xsim.v_to_string (Xsim.value st "q")))
+    Xsim.
+      [ (V0, V0, VX); (V1, V0, V1); (VX, V0, VX);
+        (V0, V1, V0); (V1, V1, V0); (VX, V1, V0);
+        (V0, VX, VX); (V1, VX, VX); (VX, VX, VX) ]
+
 let test_x_registers_start_unknown () =
   let nl = counter_nl ~load:0 () in
   let st = Xsim.create nl in
@@ -111,13 +135,13 @@ let test_x_matches_boolean_sim_when_driven () =
     let assignment =
       List.map (fun n -> (n, Random.State.bool rng)) nl.Netlist.inputs
     in
-    Gate_sim.step bst assignment;
+    Interp.step bst assignment;
     Xsim.step xst (List.map (fun (n, b) -> (n, Xsim.of_bool b)) assignment);
     List.iter
       (fun (o, b) ->
         check Alcotest.bool ("output " ^ o) true
           (Xsim.value xst o = Xsim.of_bool b))
-      (Gate_sim.outputs bst)
+      (Interp.outputs bst)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -195,11 +219,11 @@ let test_event_matches_gate_sim () =
   for _ = 1 to 30 do
     let vec = List.map (fun n -> (n, Random.State.bool rng)) nl.Netlist.inputs in
     let _ = Event_sim.apply ev vec in
-    Gate_sim.step gs vec;
+    Interp.step gs vec;
     List.iter
       (fun (o, b) ->
         check Alcotest.bool ("output " ^ o) b (Event_sim.value ev o))
-      (Gate_sim.outputs gs)
+      (Interp.outputs gs)
   done
 
 let test_event_settle_below_sta_bound () =
@@ -244,20 +268,20 @@ let test_event_worst_vector_near_bound () =
     true
     (settle > bound *. 0.4 && settle <= bound +. 0.001)
 
+(* Reconvergent paths with unequal depth glitch: y = a xor (a through
+   two inverters) momentarily pulses when a toggles. *)
+let glitch_nl =
+  { Netlist.name = "g"; inputs = [ "a" ]; outputs = [ "y" ];
+    instances =
+      [ { Netlist.inst_name = "i1"; cell = "INV"; size = 1.0;
+          conns = [ ("A", "a"); ("Y", "n1") ] };
+        { Netlist.inst_name = "i2"; cell = "INV"; size = 1.0;
+          conns = [ ("A", "n1"); ("Y", "n2") ] };
+        { Netlist.inst_name = "x"; cell = "XOR2"; size = 1.0;
+          conns = [ ("A", "a"); ("B", "n2"); ("Y", "y") ] } ] }
+
 let test_event_counts_glitches () =
-  (* reconvergent paths with unequal depth glitch: y = a xor (a through
-     two inverters) momentarily pulses when a toggles *)
-  let nl =
-    { Netlist.name = "g"; inputs = [ "a" ]; outputs = [ "y" ];
-      instances =
-        [ { Netlist.inst_name = "i1"; cell = "INV"; size = 1.0;
-            conns = [ ("A", "a"); ("Y", "n1") ] };
-          { Netlist.inst_name = "i2"; cell = "INV"; size = 1.0;
-            conns = [ ("A", "n1"); ("Y", "n2") ] };
-          { Netlist.inst_name = "x"; cell = "XOR2"; size = 1.0;
-            conns = [ ("A", "a"); ("B", "n2"); ("Y", "y") ] } ] }
-  in
-  let ev = Event_sim.create nl in
+  let ev = Event_sim.create glitch_nl in
   let _, t1 = Event_sim.apply ev [ ("a", true) ] in
   (* y ends where it began (a xor a = 0) but transitioned in between *)
   check Alcotest.bool "y settles low" false (Event_sim.value ev "y");
@@ -287,6 +311,85 @@ let test_event_counter_clocks () =
     in
     check Alcotest.int (Printf.sprintf "count %d" expected) expected q
   done
+
+(* Settling time and transitions of every vector: adder 4 on fixed
+   vectors, the glitch netlist, counter 3 driven like a testbench, data
+   and clock in separate vectors, and a bus whose only driver's enable
+   falls through an inverter before the driver's own delay has passed:
+   a bus with no driver enabled schedules nothing, so the transition
+   already in flight lands. *)
+let test_event_pinned () =
+  let run nl vectors =
+    let ev = Event_sim.create nl in
+    List.map
+      (fun v ->
+        let settle, transitions = Event_sim.apply ev v in
+        (Printf.sprintf "%.4f" settle, transitions))
+      vectors
+  in
+  let add a b cin = drive_bus "I0" 4 a @ drive_bus "I1" 4 b @ [ ("Cin", cin) ] in
+  let pulse = [ [ ("CLK", true) ]; [ ("CLK", false) ] ] in
+  let keeper =
+    { Netlist.name = "k"; inputs = [ "a"; "b" ]; outputs = [ "y" ];
+      instances =
+        [ { Netlist.inst_name = "i"; cell = "INV"; size = 1.0;
+            conns = [ ("A", "b"); ("Y", "e") ] };
+          { Netlist.inst_name = "t"; cell = "TBUF"; size = 1.0;
+            conns = [ ("A", "a"); ("EN", "e"); ("Y", "y") ] } ] }
+  in
+  let counter =
+    Builtin.expand_exn "COUNTER"
+      [ ("size", 3); ("type", 2); ("load", 0); ("enable", 0); ("up_or_down", 1) ]
+  in
+  List.iter
+    (fun (label, nl, vectors, expected) ->
+      check Alcotest.(list (pair string int)) label expected (run nl vectors))
+    [ ( "adder 4",
+        synthesize (Builtin.expand_exn "ADDER" [ ("size", 4) ]),
+        [ add 0 0 false; add 15 1 false; add 5 10 true; add 15 15 true;
+          add 0 15 false; add 8 8 false; add 7 1 true; add 0 0 false ],
+        [ ("0.0000", 0); ("14.4900", 22); ("3.6200", 13); ("3.6200", 16);
+          ("13.4100", 29); ("3.6200", 14); ("13.2100", 24); ("5.3500", 20) ] );
+      ( "glitch",
+        glitch_nl,
+        [ [ ("a", true) ]; [ ("a", false) ]; [ ("a", false) ]; [ ("a", true) ] ],
+        [ ("3.2400", 5); ("3.2400", 5); ("0.0000", 0); ("3.2400", 5) ] );
+      ( "counter 3",
+        synthesize counter,
+        [ ("CLK", false) :: drive_bus "D" 3 0
+          @ [ ("LOAD", true); ("ENA", true); ("DWUP", false) ] ]
+        @ pulse @ pulse @ pulse
+        @ [ [ ("DWUP", true) ] ] @ pulse @ pulse
+        @ [ [ ("ENA", false) ] ] @ pulse,
+        [ ("0.0000", 2); ("9.3100", 6); ("1.7000", 3); ("8.2100", 6);
+          ("1.7000", 3); ("12.0600", 9); ("1.7000", 3); ("0.0000", 1);
+          ("13.6400", 19); ("1.7000", 3); ("9.3100", 6); ("1.7000", 3);
+          ("0.0000", 1); ("8.2100", 6); ("1.7000", 3) ] );
+      ( "bus keeper",
+        keeper,
+        [ [ ("a", true); ("b", true) ]; [ ("a", false) ]; [ ("b", false) ];
+          [ ("a", true); ("b", true) ] ],
+        [ ("1.0000", 4); ("0.0000", 1); ("1.9000", 3); ("1.0000", 4) ] ) ]
+
+(* A set that holds from time zero forces its register before any clock
+   edge, as the two-valued machine's first step does: after [create],
+   and after a vector that leaves the register's pins alone. *)
+let test_event_set_at_time_zero () =
+  let nl =
+    { Netlist.name = "s"; inputs = [ "a"; "c"; "b" ]; outputs = [ "q"; "y" ];
+      instances =
+        [ { Netlist.inst_name = "f"; cell = "DFF_S"; size = 1.0;
+            conns = [ ("D", "a"); ("CK", "c"); ("S", "$const1"); ("Q", "q") ] };
+          { Netlist.inst_name = "u"; cell = "INV"; size = 1.0;
+            conns = [ ("A", "b"); ("Y", "y") ] } ] }
+  in
+  let ev = Event_sim.create nl in
+  check Alcotest.bool "after create" true (Event_sim.value ev "q");
+  ignore (Event_sim.apply ev [ ("b", true) ]);
+  check Alcotest.bool "after a vector elsewhere" true (Event_sim.value ev "q");
+  let g = Gate_sim.create nl in
+  Interp.step g [];
+  check Alcotest.bool "two-valued machine" true (Interp.value g "q")
 
 let test_event_time_advances () =
   let flat = Builtin.expand_exn "MUX2" [ ("size", 2) ] in
@@ -398,9 +501,9 @@ let step_both (spec : Flat.t) nl net cases =
     (fun (bits, x) ->
       let vec = assign spec.Flat.finputs bits in
       Interp.step i vec;
-      Gate_sim.step g vec;
+      Interp.step g vec;
       check Alcotest.bool ("interp " ^ bits) x (Interp.value i net);
-      check Alcotest.bool ("gate " ^ bits) x (Gate_sim.value g net))
+      check Alcotest.bool ("gate " ^ bits) x (Interp.value g net))
     cases
 
 let raises_sim_error msg f =
@@ -415,7 +518,7 @@ let test_sim_loop_unstable () =
    | exception Interp.Unstable name -> check Alcotest.string "design" "ring" name);
   let nl = netlist "ring" [ inst "u" "INV" [ ("A", "y"); ("Y", "y") ] ] in
   raises_sim_error "netlist ring failed to settle" (fun () ->
-      Gate_sim.step (Gate_sim.create nl) [ ("a", true) ])
+      Interp.step (Gate_sim.create nl) [ ("a", true) ])
 
 (* Every driver disabled: the bus keeps the last driven value, even
    while the disabled drivers' data changes. *)
@@ -464,7 +567,7 @@ let test_sim_step_non_input () =
        check Alcotest.string "interp" "Interp.step: y is not an input" m);
   let nl = netlist "buf" [ inst "u" "BUF" [ ("A", "a"); ("Y", "y") ] ] in
   raises_sim_error "Gate_sim.step: y is not an input of buf" (fun () ->
-      Gate_sim.step (Gate_sim.create nl) [ ("a", true); ("y", true) ])
+      Interp.step (Gate_sim.create nl) [ ("a", true); ("y", true) ])
 
 (* An unconnected input pin is reported when the cell function first
    reads it: at once for NAND2's first pin, and for its second only
@@ -475,15 +578,15 @@ let test_sim_unconnected_pin () =
   in
   let g = Gate_sim.create a_open in
   raises_sim_error "cell NAND2: pin A unconnected" (fun () ->
-      Gate_sim.step g [ ("a", false) ]);
+      Interp.step g [ ("a", false) ]);
   let b_open =
     netlist "open_b" [ inst "u" "NAND2" [ ("A", "a"); ("Y", "y") ] ]
   in
   let g = Gate_sim.create b_open in
-  Gate_sim.step g [ ("a", false) ];
-  check Alcotest.bool "NAND2 with A low" true (Gate_sim.value g "y");
+  Interp.step g [ ("a", false) ];
+  check Alcotest.bool "NAND2 with A low" true (Interp.value g "y");
   raises_sim_error "cell NAND2: pin B unconnected" (fun () ->
-      Gate_sim.step g [ ("a", true) ])
+      Interp.step g [ ("a", true) ])
 
 (* Which missing pin is reported when several are: at [create] for
    outputs and sequential pins, at the first evaluation for a
@@ -497,7 +600,7 @@ let test_sim_missing_pin_reports () =
         | exception Invalid_argument m -> "create: " ^ m
         | exception Gate_sim.Sim_error m -> "create: " ^ m
         | g -> (
-            match Gate_sim.step g [ ("a", true) ] with
+            match Interp.step g [ ("a", true) ] with
             | () -> "ok"
             | exception Gate_sim.Sim_error m -> "step: " ^ m)
       in
@@ -528,11 +631,11 @@ let test_sim_poke_unknown_net () =
   let g =
     Gate_sim.create (netlist "buf" [ inst "u" "BUF" [ ("A", "a"); ("Y", "y") ] ])
   in
-  check Alcotest.bool "gate unknown reads false" false (Gate_sim.value g "ghost");
-  Gate_sim.poke g "ghost" true;
-  check Alcotest.bool "gate poked" true (Gate_sim.value g "ghost");
-  Gate_sim.poke g "$const1" false;
-  check Alcotest.bool "$const1 stays 1" true (Gate_sim.value g "$const1")
+  check Alcotest.bool "gate unknown reads false" false (Interp.value g "ghost");
+  Interp.poke g "ghost" true;
+  check Alcotest.bool "gate poked" true (Interp.value g "ghost");
+  Interp.poke g "$const1" false;
+  check Alcotest.bool "$const1 stays 1" true (Interp.value g "$const1")
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the simulators against their hashtable oracles        *)
@@ -664,6 +767,41 @@ let random_netlist st case =
   netlist ~inputs ~outputs:(if outputs = [] then [ "w0" ] else outputs)
     (Printf.sprintf "rand%d" case) instances
 
+(* Wherever Xsim reports 0 or 1 under fully defined inputs, the
+   two-valued machine holds the same value, although Xsim's registers
+   start at X and its latches hold X until first transparent. Each
+   design stops at its first raise. *)
+let test_x_defined_agree () =
+  let st = Random.State.make [| 0x5eed |] in
+  let defined = ref 0 and wrong = ref [] in
+  for case = 1 to 3000 do
+    let nl = random_netlist st case in
+    let x = Xsim.create nl and g = Gate_sim.create nl in
+    let rec go s =
+      let vec = List.map (fun n -> (n, Random.State.bool st)) nl.Netlist.inputs in
+      match
+        Xsim.step x (List.map (fun (n, b) -> (n, Xsim.of_bool b)) vec);
+        Interp.step g vec
+      with
+      | exception Gate_sim.Sim_error _ -> ()
+      | () ->
+          List.iter
+            (fun n ->
+              match Xsim.value x n with
+              | (Xsim.V0 | Xsim.V1) as v ->
+                  incr defined;
+                  if (v = Xsim.V1) <> Interp.value g n then
+                    wrong := Printf.sprintf "case %d step %d %s" case s n :: !wrong
+              | Xsim.VX | Xsim.VZ -> ())
+            (Netlist.nets nl);
+          if s < 20 then go (s + 1)
+    in
+    go 1
+  done;
+  check Alcotest.(list string) "contradicted" [] (List.rev !wrong);
+  check Alcotest.bool (Printf.sprintf "%d defined values" !defined) true
+    (!defined > 400_000)
+
 (* An outcome's first word, two for a Sim_error: which check raised. *)
 let outcome_kind o =
   match String.split_on_char ' ' o with
@@ -727,8 +865,8 @@ let diff_gate ?(seen = Hashtbl.create 1) st label (nl : Netlist.t) steps =
   let g = Gate_sim.create nl and o = Oracle_gate_sim.create nl in
   run_differential st ~seen ~label ~inputs:nl.Netlist.inputs
     ~nets:("$const0" :: "$const1" :: Netlist.nets nl) ~steps
-    { step = Gate_sim.step g; poke = Gate_sim.poke g; value = Gate_sim.value g;
-      outputs = (fun () -> Gate_sim.outputs g) }
+    { step = Interp.step g; poke = Interp.poke g; value = Interp.value g;
+      outputs = (fun () -> Interp.outputs g) }
     { step = Oracle_gate_sim.step o; poke = Oracle_gate_sim.poke o;
       value = Oracle_gate_sim.value o;
       outputs = (fun () -> Oracle_gate_sim.outputs o) }
@@ -1042,13 +1180,15 @@ let () =
          Alcotest.test_case "comb fully defined" `Quick test_x_combinational_defined;
          Alcotest.test_case "controlling value masks X" `Quick
            test_x_controlling_value_masks_x;
+         Alcotest.test_case "async priority" `Quick test_x_async_priority;
          Alcotest.test_case "registers start unknown" `Quick
            test_x_registers_start_unknown;
          Alcotest.test_case "async load defines" `Quick test_x_async_load_defines;
          Alcotest.test_case "initialization check" `Quick
            test_x_initialization_check_reports;
          Alcotest.test_case "matches boolean sim" `Quick
-           test_x_matches_boolean_sim_when_driven ]);
+           test_x_matches_boolean_sim_when_driven;
+         Alcotest.test_case "defined values agree" `Quick test_x_defined_agree ]);
       ("event",
        [ Alcotest.test_case "matches gate sim" `Quick test_event_matches_gate_sim;
          Alcotest.test_case "settle below STA bound" `Quick
@@ -1057,7 +1197,9 @@ let () =
            test_event_worst_vector_near_bound;
          Alcotest.test_case "counts glitches" `Quick test_event_counts_glitches;
          Alcotest.test_case "counter clocks" `Quick test_event_counter_clocks;
-         Alcotest.test_case "time advances" `Quick test_event_time_advances ]);
+         Alcotest.test_case "time advances" `Quick test_event_time_advances;
+         Alcotest.test_case "pinned settle and transitions" `Quick test_event_pinned;
+         Alcotest.test_case "set at time zero" `Quick test_event_set_at_time_zero ]);
       ("two-valued",
        [ Alcotest.test_case "mutants mismatch" `Quick test_equiv_mutants;
          Alcotest.test_case "loop unstable" `Quick test_sim_loop_unstable;
