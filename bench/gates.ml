@@ -1,4 +1,4 @@
-(* Ratio gates: six A/B checks, each the median of paired per-round
+(* Ratio gates: seven A/B checks, each the median of paired per-round
    time ratios B/A against a bar. Run: dune exec bench/main.exe -- gates
 
      batch    hot Batch frames of 25 vs hot single calls          < 1
@@ -8,6 +8,8 @@
      indexed  PARETO through an index vs a scan, same rows      <= 0.2
      verify   Equiv.check vs the scalar enumeration, multiplier 6,
               both equivalent                                   <= 0.1
+     shape    Shape.of_netlist vs one Area_est.estimate per strip
+              count, encode 8, the same staircase               <= 0.5
 
    Exits non-zero when a median misses its bar, a side check fails or an arm raises. *)
 
@@ -194,6 +196,28 @@ let verify_gate () =
       let ok = List.for_all (( = ) E.Equivalent) !results in
       (ok, Printf.sprintf ", %d checks equivalent %b" (List.length !results) ok))
 
+(* Encode 8 (1 105 cells, 20 strip counts): the shape function, which
+   prepares the netlist once, vs an estimate per count, each preparing
+   it again. *)
+let shape_gate () =
+  let module L = Icdb_layout in
+  let c = Option.get (Icdb_genus.Component.find "encode") in
+  let flat = Icdb_iif.Builtin.expand_exn c.implementation (c.params_of [ ("size", 8) ]) in
+  let nl = Generator.milo.synthesize flat in
+  let counts = List.init (L.Shape.max_strips_for nl) (fun i -> i + 1) in
+  let estimates = ref [] and shape = ref [] in
+  let per_count () =
+    time (fun () -> estimates := List.map (fun strips -> L.Area_est.estimate nl ~strips) counts) in
+  let once () = time (fun () -> shape := L.Shape.of_netlist nl) in
+  let bits t =
+    List.map (fun (a : L.Shape.alternative) ->
+        (a.alt_index, a.alt_strips, Int64.bits_of_float a.alt_width,
+         Int64.bits_of_float a.alt_height, Int64.bits_of_float a.alt_area)) t in
+  gate ~bar:"<= 0.5" ~rounds:11 (fun m -> m <= 0.5) per_count once ~side:(fun () ->
+      let same = !shape <> [] && bits !shape = bits (L.Shape.of_estimates !estimates) in
+      (same, Printf.sprintf ", %d alternatives of %d counts, identical %b"
+         (List.length !shape) (List.length counts) same))
+
 let run () =
   (* a wedged arm fails the step: SIGALRM's default action exits non-zero *)
   ignore (Unix.alarm 600);
@@ -206,7 +230,8 @@ let run () =
       [ ("batch", batch_gate);
         ("sampler", side_gate ~what:"ticks" ~telemetry_period_s:0.05 sampler);
         ("admin", side_gate ~what:"scrapes" scraper);
-        ("explain", explain_gate); ("indexed", indexed_gate); ("verify", verify_gate) ]
+        ("explain", explain_gate); ("indexed", indexed_gate); ("verify", verify_gate);
+        ("shape", shape_gate) ]
   in
   ignore (Unix.alarm 0);
   if failed <> [] then (

@@ -20,13 +20,20 @@ val rail_height : float
 val track_utilization : cells_in_strip:int -> float
 (** Experimentally-derived utilization constant (§4.4.2). *)
 
-val random_balanced_width :
-  Icdb_netlist.Netlist.t -> strips:int -> seed:int -> float
-(** The X figure: max strip width under random balanced assignment,
-    averaged over a few shuffles. *)
+type prepared
+(** What every strip count's estimate shares: the placement's
+    {!Strip.arrangement} and the shuffles of the X figure. *)
+
+val prepare : ?seed:int -> Icdb_netlist.Netlist.t -> prepared
+
+val arrangement : prepared -> Strip.arrangement
+
+val estimate_prepared : prepared -> strips:int -> estimate
+(** @raise Invalid_argument when [strips < 1]. *)
 
 val estimate :
   ?seed:int -> Icdb_netlist.Netlist.t -> strips:int -> estimate
+(** [estimate_prepared (prepare ?seed nl) ~strips]. *)
 
 val estimate_to_string : estimate -> string
 (** The App B §5.3 row: [strip = k width = ... height = ... area = ...]. *)

@@ -21,9 +21,8 @@ type layout = {
 
 (* Stack a placement into real coordinates: rails, strips and channels
    bottom-up, channel heights taken from the track estimate. *)
-let of_placement ?(seed = 1) (p : Strip.t) ~(ports : Ports.placed_port list) =
+let of_placement (p : Strip.t) ~(ports : Ports.placed_port list) =
   let nl = p.Strip.netlist in
-  let est = Area_est.estimate ~seed nl ~strips:p.Strip.strips in
   let spans = Strip.channel_spans p in
   let width = Float.max (Strip.width p) 1.0 in
   let cells_per_strip =
@@ -62,7 +61,6 @@ let of_placement ?(seed = 1) (p : Strip.t) ~(ports : Ports.placed_port list) =
           Icdb_logic.Celllib.cell_height ))
       p.Strip.cells
   in
-  ignore est;
   { lname = nl.Netlist.name;
     lwidth = width;
     lheight = height;
@@ -108,16 +106,17 @@ let to_cif (l : layout) =
   Buffer.add_string buf "DF;\nC 1;\nE\n";
   Buffer.contents buf
 
-(* One-call convenience: place, assign ports, emit CIF. *)
+(* One-call convenience: place, assign ports, emit CIF. The estimate
+   that sizes the port ring and the placement drawn share one
+   arrangement. *)
 let generate ?(seed = 1) (nl : Netlist.t) ~strips ~port_specs =
   Icdb_obs.Trace.with_span "cif.generate" @@ fun () ->
-  let placement = Strip.place nl ~strips in
-  let spans = Strip.channel_spans placement in
-  ignore spans;
-  let est = Area_est.estimate ~seed nl ~strips in
+  let prep = Area_est.prepare ~seed nl in
+  let est = Area_est.estimate_prepared prep ~strips in
+  let placement = Strip.place_arranged (Area_est.arrangement prep) ~strips in
   let ports =
     Ports.assign port_specs ~width:est.Area_est.width
       ~height:est.Area_est.height
   in
-  let l = of_placement ~seed placement ~ports in
+  let l = of_placement placement ~ports in
   (l, to_cif l)

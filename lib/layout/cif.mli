@@ -16,8 +16,7 @@ type layout = {
   port_pads : Ports.placed_port list;
 }
 
-val of_placement :
-  ?seed:int -> Strip.t -> ports:Ports.placed_port list -> layout
+val of_placement : Strip.t -> ports:Ports.placed_port list -> layout
 (** Stack a placement into coordinates: rails, strips and channels
     bottom-up, channel heights from the track estimate. *)
 

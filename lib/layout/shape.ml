@@ -20,24 +20,17 @@ let max_strips_for nl =
      ones get proportionally more so square aspect ratios exist *)
   if n <= 64 then max 1 (min 8 n) else min 20 (n / 8)
 
-(* All strip counts from 1 to a sensible maximum, normalized into a
-   proper staircase shape function: widths strictly decrease with the
-   strip count and heights never decrease (the estimator is made
-   conservative where raw channel estimates would dip). *)
-let of_netlist ?(seed = 1) (nl : Netlist.t) : t =
-  Icdb_obs.Trace.with_span "shape.estimate" @@ fun () ->
-  let m = max_strips_for nl in
-  let raw =
-    List.map
-      (fun strips -> (strips, Area_est.estimate ~seed nl ~strips))
-      (List.init m (fun i -> i + 1))
-  in
+(* Estimates for strip counts from 1 upward, normalized into a proper
+   staircase shape function: widths strictly decrease with the strip
+   count and heights never decrease (the estimator is made conservative
+   where raw channel estimates would dip). *)
+let of_estimates (raw : Area_est.estimate list) : t =
   let _, _, alts =
     List.fold_left
-      (fun (prev_w, prev_h, acc) (strips, e) ->
+      (fun (prev_w, prev_h, acc) (e : Area_est.estimate) ->
         let w = e.Area_est.width and h = Float.max e.Area_est.height prev_h in
         if w >= prev_w then (prev_w, prev_h, acc)  (* not narrower: drop *)
-        else (w, h, (strips, w, h) :: acc))
+        else (w, h, (e.Area_est.strips, w, h) :: acc))
       (infinity, 0.0, []) raw
   in
   List.rev alts
@@ -47,6 +40,15 @@ let of_netlist ?(seed = 1) (nl : Netlist.t) : t =
            alt_width = w;
            alt_height = h;
            alt_area = w *. h })
+
+(* All strip counts from 1 to a sensible maximum, every count estimated
+   from one preparation of the netlist. *)
+let of_netlist ?(seed = 1) (nl : Netlist.t) : t =
+  Icdb_obs.Trace.with_span "shape.estimate" @@ fun () ->
+  let prep = Area_est.prepare ~seed nl in
+  of_estimates
+    (List.init (max_strips_for nl) (fun i ->
+         Area_est.estimate_prepared prep ~strips:(i + 1)))
 
 (* Keep only Pareto-optimal points (no alternative both narrower and
    shorter exists). *)

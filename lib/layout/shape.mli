@@ -14,10 +14,14 @@ type t = alternative list
 
 val max_strips_for : Icdb_netlist.Netlist.t -> int
 
-val of_netlist : ?seed:int -> Icdb_netlist.Netlist.t -> t
-(** Estimate every strip count from 1 upward and normalize into a
-    proper staircase: widths strictly decrease, heights never decrease
+val of_estimates : Area_est.estimate list -> t
+(** Normalize estimates for strip counts from 1 upward into a proper
+    staircase: widths strictly decrease, heights never decrease
     (conservative where raw channel estimates would dip). *)
+
+val of_netlist : ?seed:int -> Icdb_netlist.Netlist.t -> t
+(** {!of_estimates} of every strip count from 1 to {!max_strips_for},
+    all estimated from one {!Area_est.prepare}. *)
 
 val pareto : t -> t
 (** Drop alternatives dominated in both dimensions. *)

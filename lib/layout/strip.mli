@@ -14,11 +14,17 @@ type placed_cell = {
   pc_x : float;     (** left edge within the strip *)
 }
 
+type arrangement
+(** Everything a placement needs that does not depend on the strip
+    count: the {!connectivity_order}, the instances' widths and the
+    nets' pins. *)
+
 type t = {
   netlist : Netlist.t;
   strips : int;
-  cells : placed_cell list;
+  cells : placed_cell list;   (** in arrangement order *)
   strip_widths : float array;
+  arrangement : arrangement;  (** the arrangement it was placed from *)
 }
 
 val cell_gap : float
@@ -32,8 +38,19 @@ val connectivity_order : Netlist.t -> Netlist.instance list
     repeatedly append the unplaced instance most attracted to the
     placed set. Deterministic. *)
 
+val arrange : Netlist.t -> arrangement
+
+val place_arranged : arrangement -> strips:int -> t
+(** Snake the arrangement across [strips] strips of about equal width.
+    @raise Invalid_argument when [strips < 1]. *)
+
 val place : Netlist.t -> strips:int -> t
-(** @raise Invalid_argument when [strips < 1]. *)
+(** [place_arranged (arrange nl) ~strips]. *)
+
+val measure : arrangement -> strips:int -> float * float array
+(** [(width p, channel_spans p)] of [p = place_arranged a ~strips],
+    without building [p]'s cell list.
+    @raise Invalid_argument when [strips < 1]. *)
 
 val width : t -> float
 (** Widest strip. *)

@@ -31,11 +31,12 @@ let entity_of (nl : Netlist.t) =
     List.map (fun n -> (n, "in")) nl.Netlist.inputs
     @ List.map (fun n -> (n, "out")) nl.Netlist.outputs
   in
+  let last = List.length ports - 1 in
   List.iteri
     (fun i (n, dir) ->
       Buffer.add_string buf
         (Printf.sprintf "    %s : %s bit%s\n" (sanitize n) dir
-           (if i = List.length ports - 1 then "" else ";")))
+           (if i = last then "" else ";")))
     ports;
   Buffer.add_string buf "  );\n";
   Buffer.add_string buf (Printf.sprintf "end %s;\n" (sanitize nl.Netlist.name));
@@ -51,9 +52,11 @@ let architecture_of (nl : Netlist.t) =
     (fun c -> Buffer.add_string buf (Printf.sprintf "  component %s end component;\n" c))
     cells;
   (* internal signals *)
-  let io = nl.Netlist.inputs @ nl.Netlist.outputs in
+  let io = Hashtbl.create 64 in
+  List.iter (fun n -> Hashtbl.replace io n ()) nl.Netlist.inputs;
+  List.iter (fun n -> Hashtbl.replace io n ()) nl.Netlist.outputs;
   let internal =
-    List.filter (fun n -> not (List.mem n io)) (Netlist.nets nl)
+    List.filter (fun n -> not (Hashtbl.mem io n)) (Netlist.nets nl)
   in
   if internal <> [] then
     Buffer.add_string buf

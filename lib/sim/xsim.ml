@@ -120,12 +120,16 @@ let rec eval v e =
 and drive v data enable =
   match eval v enable with V1 -> eval v data | V0 -> VZ | _ -> VX
 
-let comb_pass st =
+(* One pass over the elements in order. Past the settle limit a pass
+   [widen]s: a net whose new value differs from its present one, and a
+   latch's held value that does, becomes X instead, so values only
+   move to X and the passes end within one per net. *)
+let comb_pass ~widen st =
   let v = st.values in
   let changed = ref false in
   let update out x =
-    if v.(out) <> x then begin
-      set st out x;
+    if v.(out) <> x && not (widen && v.(out) = VX) then begin
+      set st out (if widen then VX else x);
       changed := true
     end
   in
@@ -137,7 +141,12 @@ let comb_pass st =
             match eval v gate with
             | (V0 | V1) as g when (g = V1) = transparent_high ->
                 let d = eval v data in
-                st.latch_held.(slot) <- d;
+                let held = st.latch_held.(slot) in
+                if not widen then st.latch_held.(slot) <- d
+                else if held <> d && held <> VX then begin
+                  st.latch_held.(slot) <- VX;
+                  changed := true
+                end;
                 d
             | V0 | V1 -> st.latch_held.(slot)
             | _ -> VX  (* unknown gate: output unknown *)
@@ -146,11 +155,11 @@ let comb_pass st =
     st.design.Interp.elements;
   !changed
 
-(* Oscillating feedback stops where the pass limit leaves it rather
-   than failing. *)
+(* Feedback still changing at the pass limit oscillates: the passes
+   after it widen what keeps changing to X. *)
 let settle st =
   let limit = Interp.settle_limit st.design in
-  let rec loop n = if comb_pass st && n < limit then loop (n + 1) in
+  let rec loop n = if comb_pass ~widen:(n > limit) st then loop (n + 1) in
   loop 0
 
 (* The first asynchronous condition, in priority order, that is not 0

@@ -26,8 +26,10 @@ val default_constraints : constraints
 val max_size : float
 (** Drive-multiplier ceiling per instance. *)
 
-val violation : Sta.report -> constraints -> float
-(** Worst constraint violation in ns; [<= 0] when everything is met. *)
+val violation : Sta.summary -> constraints -> float
+(** Worst constraint violation in ns; [<= 0] when everything is met. A
+    set-up bound is checked against the worst SD, so a design without
+    inputs has none to meet. *)
 
 val size_to_constraints :
   Icdb_netlist.Netlist.t -> constraints -> Icdb_netlist.Netlist.t

@@ -335,19 +335,25 @@ let rec settle g p src n =
    pin plus clk->Q. Rippled clocks (a register clocked by another
    register's output, as in the ripple counter) converge by iteration:
    each round propagates one more stage of the chain. A round reads the
-   launch times it is updating, so its queries keep this order. *)
+   launch times it is updating, so its queries keep this order. A round
+   that changes no launch time ends where it started, so every later
+   round would repeat it: the rounds stop there. *)
 let launch_times g =
   Array.iteri (fun j k -> g.launch.(g.ff_q.(j)) <- g.delays.(k)) g.ffs;
   let p = g.pb in
-  for _round = 1 to Array.length g.ffs do
+  let round = ref 1 and changed = ref true in
+  while !changed && !round <= Array.length g.ffs do
     start p;
-    Array.iteri
-      (fun j k ->
-        let ck = g.ff_ck.(j) in
-        settle g p Inputs_and_launch ck;
-        let clock_arrival = if p.has.(ck) then p.time.(ck) else 0.0 in
-        g.launch.(g.ff_q.(j)) <- clock_arrival +. g.delays.(k))
-      g.ffs
+    changed := false;
+    for j = 0 to Array.length g.ffs - 1 do
+      let ck = g.ff_ck.(j) and q = g.ff_q.(j) in
+      settle g p Inputs_and_launch ck;
+      let clock_arrival = if p.has.(ck) then p.time.(ck) else 0.0 in
+      let t = clock_arrival +. g.delays.(g.ffs.(j)) in
+      if t <> g.launch.(q) then changed := true;
+      g.launch.(q) <- t
+    done;
+    incr round
   done;
   g.launch_fresh <- true
 
@@ -365,48 +371,87 @@ let worst_setup g p src =
 (* The report                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let evaluate g =
+(* WD per output: worst arrival from a register (clock edge), falling
+   back to input-sourced paths for purely combinational outputs. Opens
+   the passes the rest of the report reads: [g.pa] from the inputs,
+   [g.pb] from the registers. *)
+let wd_per_output g =
   let from_inputs = g.pa and from_ffs = g.pb in
   launch_times g;
   start from_inputs;
   start from_ffs;
-  (* WD per output: worst arrival from a register (clock edge), falling
-     back to input-sourced paths for purely combinational outputs. *)
   let has_ffs = g.ffs <> [||] in
-  let output_delays =
-    List.mapi
-      (fun j o ->
-        let n = g.outputs.(j) in
-        settle g from_ffs Launch n;
-        settle g from_inputs Inputs n;
-        let wd =
-          if from_ffs.has.(n) && has_ffs then from_ffs.time.(n)
-          else if from_inputs.has.(n) then from_inputs.time.(n)
-          else if from_ffs.has.(n) then from_ffs.time.(n)
-          else 0.0
-        in
-        (o, wd))
-      g.nl.Netlist.outputs
-  in
-  (* SD per input: worst path from the input to any register data-ish
-     pin, plus that register's setup. Each input takes its own pass. *)
-  let setup_times =
-    List.mapi
-      (fun j inp ->
-        start from_inputs;
-        (inp, worst_setup g from_inputs (Only g.inputs.(j))))
-      g.nl.Netlist.inputs
-  in
-  (* CW: worst register-to-register path + setup, but at least the
-     worst input-to-register setup (external data must also make it in
-     one phase) and the widest clk->Q. *)
-  let reg_to_reg = worst_setup g from_ffs Launch in
+  List.mapi
+    (fun j o ->
+      let n = g.outputs.(j) in
+      settle g from_ffs Launch n;
+      settle g from_inputs Inputs n;
+      let wd =
+        if from_ffs.has.(n) && has_ffs then from_ffs.time.(n)
+        else if from_inputs.has.(n) then from_inputs.time.(n)
+        else if from_ffs.has.(n) then from_ffs.time.(n)
+        else 0.0
+      in
+      (o, wd))
+    g.nl.Netlist.outputs
+
+(* SD per input: worst path from the input to any register data-ish
+   pin, plus that register's setup. Each input takes its own pass. *)
+let sd_per_input g =
+  List.mapi
+    (fun j inp ->
+      start g.pa;
+      (inp, worst_setup g g.pa (Only g.inputs.(j))))
+    g.nl.Netlist.inputs
+
+(* CW: worst register-to-register path + setup, but at least the worst
+   input-to-register setup (external data must also make it in one
+   phase) and the widest clk->Q. Reads [wd_per_output]'s register
+   pass. *)
+let clock_width_of g worst_sd =
+  let reg_to_reg = worst_setup g g.pb Launch in
   let worst_clk_to_q =
     Array.fold_left (fun acc k -> Float.max acc g.delays.(k)) 0.0 g.ffs
   in
-  let worst_sd = List.fold_left (fun acc (_, t) -> Float.max acc t) 0.0 setup_times in
-  let clock_width = Float.max reg_to_reg (Float.max worst_clk_to_q worst_sd) in
-  { clock_width; output_delays; setup_times }
+  Float.max reg_to_reg (Float.max worst_clk_to_q worst_sd)
+
+let worst_setup_time = function
+  | [] -> None
+  | l -> Some (List.fold_left (fun acc (_, t) -> Float.max acc t) 0.0 l)
+
+let evaluate g =
+  let output_delays = wd_per_output g in
+  let setup_times = sd_per_input g in
+  let worst_sd = Option.value (worst_setup_time setup_times) ~default:0.0 in
+  { clock_width = clock_width_of g worst_sd; output_delays; setup_times }
+
+type summary = {
+  cw : float;
+  wd : (string * float) list;
+  worst_sd : float option;
+}
+
+let summary_of_report r =
+  { cw = r.clock_width;
+    wd = r.output_delays;
+    worst_sd = worst_setup_time r.setup_times }
+
+(* The worst SD in one pass sourced at every input, the one the WDs
+   opened: a net's arrival from all inputs is the max of its arrivals
+   from each, and [+.] is monotone, so the max commutes with every
+   delay bit for bit. Two cases break that: with no inputs there is no
+   SD at all (tie-cell paths would still give the pass one), and an
+   input net that an instance also drives is a source only in its own
+   pass, so those designs take the pass per input. *)
+let summarize g =
+  let wd = wd_per_output g in
+  let worst_sd =
+    if Array.length g.inputs = 0 then None
+    else if Array.exists (fun n -> g.driver.(n) >= 0) g.inputs then
+      worst_setup_time (sd_per_input g)
+    else Some (worst_setup g g.pa Inputs)
+  in
+  { cw = clock_width_of g (Option.value worst_sd ~default:0.0); wd; worst_sd }
 
 let analyze ?port_loads nl =
   Icdb_obs.Trace.with_span "sta.analyze" @@ fun () ->

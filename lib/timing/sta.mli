@@ -28,7 +28,7 @@ val analyze :
 
     One array-indexed view of a netlist, built once and re-timed in
     place as instance sizes change: the sizer tries each candidate
-    resize as {!set_size}, {!evaluate}, then {!set_size} back.
+    resize as {!set_size}, {!summarize}, then {!set_size} back.
     Instances are numbered in netlist order. *)
 
 type graph
@@ -42,12 +42,29 @@ val evaluate : graph -> report
 (** The report for the graph's current sizes.
     @raise Timing_error on timing loops. *)
 
+(** The figures the sizer reads: {!report}'s CW and WDs, and only the
+    worst of its SDs. *)
+type summary = {
+  cw : float;                  (** [clock_width] *)
+  wd : (string * float) list;  (** [output_delays] *)
+  worst_sd : float option;
+      (** the largest of [setup_times]; [None] when there are no inputs *)
+}
+
+val summarize : graph -> summary
+(** [summary_of_report (evaluate g)], bit for bit, from one
+    input-sourced longest-path pass where {!evaluate} opens one per
+    input.
+    @raise Timing_error on timing loops. *)
+
+val summary_of_report : report -> summary
+
 val critical : graph -> int list
 (** Instances on the worst path at the current sizes (endpoint with the
     latest arrival, walked back through worst-arrival fanins), in
     instance order. Reuses the register launch times of the last
-    {!evaluate} when no size has changed since. The sizer restricts its
-    upsizing candidates to these. *)
+    {!evaluate} or {!summarize} when no size has changed since. The
+    sizer restricts its upsizing candidates to these. *)
 
 val instance_count : graph -> int
 

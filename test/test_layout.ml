@@ -132,6 +132,110 @@ let test_bigger_component_bigger_area () =
     (area 8 > area 4)
 
 (* ------------------------------------------------------------------ *)
+(* The shape function against its per-count oracle                     *)
+(* ------------------------------------------------------------------ *)
+
+let bits = Int64.bits_of_float
+
+let estimate_bits (e : Area_est.estimate) =
+  (e.Area_est.strips, bits e.Area_est.width, bits e.Area_est.height,
+   bits e.Area_est.area, e.Area_est.tracks)
+
+let shape_bits (t : Shape.t) =
+  List.map
+    (fun (a : Shape.alternative) ->
+      (a.Shape.alt_index, a.Shape.alt_strips, bits a.Shape.alt_width,
+       bits a.Shape.alt_height, bits a.Shape.alt_area))
+    t
+
+(* [Shape.of_netlist], and at every strip count the estimate, the
+   placement and its channel spans, equal the oracle's, which rebuilds
+   everything per count; [None] when they do, else what differs. *)
+let differs_from_oracle (nl : Netlist.t) =
+  let m = Shape.max_strips_for nl in
+  let counts = List.init m (fun i -> i + 1) in
+  let placed p =
+    List.map
+      (fun (c : Strip.placed_cell) ->
+        (c.Strip.pc_inst.Netlist.inst_name, c.Strip.pc_strip, bits c.Strip.pc_x,
+         bits c.Strip.pc_width))
+      p.Strip.cells
+  in
+  let oracle_placed (p : Oracle_shape.placement) =
+    List.map
+      (fun (c : Oracle_shape.placed_cell) ->
+        (c.Oracle_shape.pc_inst.Netlist.inst_name, c.Oracle_shape.pc_strip,
+         bits c.Oracle_shape.pc_x, bits c.Oracle_shape.pc_width))
+      p.Oracle_shape.cells
+  in
+  if shape_bits (Shape.of_netlist nl) <> shape_bits (Oracle_shape.of_netlist nl)
+  then Some "shape function"
+  else
+    List.find_map
+      (fun strips ->
+        let p = Strip.place nl ~strips and o = Oracle_shape.place nl ~strips in
+        if estimate_bits (Area_est.estimate nl ~strips)
+           <> estimate_bits (Oracle_shape.estimate nl ~strips)
+        then Some (Printf.sprintf "estimate at %d strips" strips)
+        else if placed p <> oracle_placed o
+                || Array.map bits p.Strip.strip_widths
+                   <> Array.map bits o.Oracle_shape.strip_widths
+        then Some (Printf.sprintf "placement at %d strips" strips)
+        else if Array.map bits (Strip.channel_spans p)
+                <> Array.map bits (Oracle_shape.channel_spans o)
+        then Some (Printf.sprintf "channel spans at %d strips" strips)
+        else None)
+      counts
+
+let component name attrs =
+  let c = Option.get (Icdb_genus.Component.find name) in
+  Builtin.expand_exn c.Icdb_genus.Component.implementation
+    (c.Icdb_genus.Component.params_of attrs)
+
+(* Every catalogue component at sizes 1-6 that expands, and encode 8
+   (1 105 cells, 20 strip counts). *)
+let test_shape_catalogue_oracle () =
+  let designs =
+    List.concat_map
+      (fun (c : Icdb_genus.Component.t) ->
+        let name = c.Icdb_genus.Component.comp_name in
+        let sizes =
+          if List.mem_assoc "size" c.Icdb_genus.Component.attributes then
+            [ 1; 2; 3; 4; 5; 6 ]
+          else [ 0 ]
+        in
+        List.filter_map
+          (fun size ->
+            let attrs = if size = 0 then [] else [ ("size", size) ] in
+            match component name attrs with
+            | exception Expander.Expand_error _ -> None
+            | f -> Some (Printf.sprintf "%s %d" name size, synthesize f))
+          sizes)
+      Icdb_genus.Component.all
+  in
+  let designs =
+    designs @ [ ("encode 8", synthesize (component "encode" [ ("size", 8) ])) ]
+  in
+  check Alcotest.bool "at least 100 designs" true (List.length designs >= 100);
+  List.iter
+    (fun (label, nl) ->
+      check Alcotest.(option string) label None (differs_from_oracle nl))
+    designs
+
+(* test_sim's random netlists (every cell kind, shared buses, loops),
+   a third of them with 65-160 cells so the strip counts pass 8. *)
+let test_shape_random_oracle () =
+  let st = Random.State.make [| 0x5ba9e |] in
+  for case = 1 to 90 do
+    let nl =
+      if case mod 3 = 0 then
+        Rand_netlist.random_netlist ~min_cells:65 ~max_cells:160 st case
+      else Rand_netlist.random_netlist st case
+    in
+    check Alcotest.(option string) nl.Netlist.name None (differs_from_oracle nl)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Ports                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -307,7 +411,11 @@ let () =
          Alcotest.test_case "pareto subset" `Quick test_shape_pareto_subset;
          Alcotest.test_case "listing format" `Quick test_shape_listing_format;
          Alcotest.test_case "bigger component bigger area" `Quick
-           test_bigger_component_bigger_area ]);
+           test_bigger_component_bigger_area;
+         Alcotest.test_case "catalogue = per-count oracle" `Quick
+           test_shape_catalogue_oracle;
+         Alcotest.test_case "random = per-count oracle" `Quick
+           test_shape_random_oracle ]);
       ("ports",
        [ Alcotest.test_case "parse paper format" `Quick test_ports_parse_paper_format;
          Alcotest.test_case "assignment ordering" `Quick test_ports_assignment_ordering;

@@ -83,6 +83,70 @@ let test_x_async_priority () =
         (V0, V1, V0); (V1, V1, V0); (VX, V1, V0);
         (V0, VX, VX); (V1, VX, VX); (VX, VX, VX) ]
 
+(* Feedback that oscillates reads X, where the two-valued machine
+   fails to settle: a NAND2 whose B is its own output (y = NAND(a, y))
+   and a transparent latch fed its own inverse, each stepped as listed.
+   Feedback that holds keeps its value. A latch that oscillated holds X
+   once it closes. In the last design a DFF_SR with R = rst | q and
+   S = !q flips in every register round, up to the round limit; with a
+   second register the rounds end after an odd number of flips, so the
+   settle that closes each step runs with q = 1, which sets the NAND
+   ring oscillating through a transparent latch. That settle ends past
+   its pass limit, and the latch's held value must be X when it closes
+   on the next step. *)
+let test_x_oscillation () =
+  let inst name cell conns = { Netlist.inst_name = name; cell; size = 1.0; conns } in
+  let nand_ring =
+    { Netlist.name = "osc"; inputs = [ "a" ]; outputs = [ "y" ];
+      instances = [ inst "u" "NAND2" [ ("A", "a"); ("B", "y"); ("Y", "y") ] ] }
+  in
+  let latch_ring =
+    { Netlist.name = "losc"; inputs = [ "g" ]; outputs = [ "q" ];
+      instances =
+        [ inst "l" "LATCH_H" [ ("D", "nq"); ("G", "g"); ("Q", "q") ];
+          inst "i" "INV" [ ("A", "q"); ("Y", "nq") ] ] }
+  in
+  let toggled_ring =
+    { Netlist.name = "tosc"; inputs = [ "rst"; "g" ]; outputs = [ "out" ];
+      instances =
+        [ inst "r" "OR2" [ ("A", "rst"); ("B", "q"); ("Y", "r") ];
+          inst "s" "INV" [ ("A", "q"); ("Y", "s") ];
+          inst "f" "DFF_SR"
+            [ ("D", "q"); ("CK", "$const0"); ("S", "s"); ("R", "r"); ("Q", "q") ];
+          inst "f2" "DFF" [ ("D", "$const0"); ("CK", "$const0"); ("Q", "unused") ];
+          inst "u" "NAND2" [ ("A", "q"); ("B", "y"); ("Y", "y") ];
+          inst "l" "LATCH_H" [ ("D", "y"); ("G", "g"); ("Q", "out") ] ] }
+  in
+  List.iter
+    (fun (label, nl, steps, expected, settles) ->
+      let st = Xsim.create nl in
+      let g = Gate_sim.create nl in
+      let two_valued = ref "settles" in
+      List.iter
+        (fun vec ->
+          Xsim.step st (List.map (fun (n, b) -> (n, Xsim.of_bool b)) vec);
+          match Interp.step g vec with
+          | () -> ()
+          | exception (Interp.Unstable _ | Gate_sim.Sim_error _) ->
+              two_valued := "fails to settle")
+        steps;
+      let out = List.hd nl.Netlist.outputs in
+      check Alcotest.string label expected (Xsim.v_to_string (Xsim.value st out));
+      check Alcotest.(list string) (label ^ ": undefined outputs")
+        (if expected = "X" then [ out ] else [])
+        (Xsim.undefined_outputs st);
+      check Alcotest.string (label ^ ": two-valued machine") settles !two_valued)
+    [ ("NAND ring, a=0", nand_ring, [ [ ("a", false) ] ], "1", "settles");
+      ("NAND ring, a=0 then a=1", nand_ring, [ [ ("a", false) ]; [ ("a", true) ] ], "X",
+       "fails to settle");
+      ("latch ring, open", latch_ring, [ [ ("g", true) ] ], "X", "fails to settle");
+      ("latch ring, open then closed", latch_ring, [ [ ("g", true) ]; [ ("g", false) ] ],
+       "X", "fails to settle");
+      ("toggled ring, latch closed after it oscillated", toggled_ring,
+       [ [ ("rst", true); ("g", true) ]; [ ("rst", false); ("g", true) ];
+         [ ("rst", false); ("g", false) ] ],
+       "X", "fails to settle") ]
+
 let test_x_registers_start_unknown () =
   let nl = counter_nl ~load:0 () in
   let st = Xsim.create nl in
@@ -641,7 +705,7 @@ let test_sim_poke_unknown_net () =
 (* Differential: the simulators against their hashtable oracles        *)
 (* ------------------------------------------------------------------ *)
 
-let pick st l = List.nth l (Random.State.int st (List.length l))
+let pick = Rand_netlist.pick
 
 (* How a step ended, with each implementation's own exception
    constructors identified. *)
@@ -723,49 +787,7 @@ let random_flat st case =
     foutputs = (if outputs = [] then [ List.hd nets ] else outputs);
     finternals = nets; fequations = eqs }
 
-(* Mapped cells of every kind over earlier nets, reaching any net one
-   time in ten; TBUFs share two bus nets, clock pins read the primary
-   clock or an earlier flip-flop's output, and one comb pin in forty
-   is left unconnected. *)
-let random_netlist st case =
-  let inputs = List.init (2 + Random.State.int st 4) (Printf.sprintf "a%d") in
-  let buses = [ "bus0"; "bus1" ] in
-  let n = 2 + Random.State.int st 14 in
-  let wires = List.init n (Printf.sprintf "w%d") in
-  let all = inputs @ wires @ buses @ [ "$const0"; "$const1" ] in
-  let cells = Array.of_list Celllib.all in
-  let qs = ref [] in
-  let instances =
-    List.init n (fun k ->
-        let cell = cells.(Random.State.int st (Array.length cells)) in
-        let out =
-          if cell.Celllib.kind = Celllib.Tri_cell then pick st buses
-          else List.nth wires k
-        in
-        let early =
-          inputs @ List.filteri (fun j _ -> j < k) wires @ [ "$const0"; "$const1" ]
-        in
-        let source () =
-          if Random.State.int st 10 = 0 then pick st all else pick st early
-        in
-        let conns =
-          List.filter_map
-            (fun p ->
-              if cell.Celllib.kind = Celllib.Comb && Random.State.int st 40 = 0
-              then None
-              else if p = "CK" then
-                Some (p, if !qs <> [] && Random.State.bool st then pick st !qs
-                         else "a0")
-              else Some (p, source ()))
-            cell.Celllib.inputs
-        in
-        (match cell.Celllib.kind with Celllib.Ff _ -> qs := out :: !qs | _ -> ());
-        inst (Printf.sprintf "u%d" k) cell.Celllib.cname
-          ((cell.Celllib.output, out) :: conns))
-  in
-  let outputs = List.filter (fun _ -> Random.State.bool st) (wires @ buses) in
-  netlist ~inputs ~outputs:(if outputs = [] then [ "w0" ] else outputs)
-    (Printf.sprintf "rand%d" case) instances
+let random_netlist = Rand_netlist.random_netlist
 
 (* Wherever Xsim reports 0 or 1 under fully defined inputs, the
    two-valued machine holds the same value, although Xsim's registers
@@ -1181,6 +1203,7 @@ let () =
          Alcotest.test_case "controlling value masks X" `Quick
            test_x_controlling_value_masks_x;
          Alcotest.test_case "async priority" `Quick test_x_async_priority;
+         Alcotest.test_case "oscillation reads X" `Quick test_x_oscillation;
          Alcotest.test_case "registers start unknown" `Quick
            test_x_registers_start_unknown;
          Alcotest.test_case "async load defines" `Quick test_x_async_load_defines;

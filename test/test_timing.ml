@@ -20,6 +20,12 @@ let counter ?(size = 5) ?(typ = 2) ?(load = 0) ?(enable = 0) ?(ud = 1) () =
 
 let adder size = synthesize (Builtin.expand_exn "ADDER" [ ("size", size) ])
 
+let component name attrs =
+  let c = Option.get (Icdb_genus.Component.find name) in
+  synthesize
+    (Builtin.expand_exn c.Icdb_genus.Component.implementation
+       (c.Icdb_genus.Component.params_of attrs))
+
 (* ------------------------------------------------------------------ *)
 (* STA basics                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -219,10 +225,150 @@ let report_bits (r : Sta.report) =
   (Int64.bits_of_float r.Sta.clock_width, bits r.Sta.output_delays,
    bits r.Sta.setup_times)
 
+let summary_bits (s : Sta.summary) =
+  (Int64.bits_of_float s.Sta.cw,
+   List.map (fun (p, t) -> (p, Int64.bits_of_float t)) s.Sta.wd,
+   Option.map Int64.bits_of_float s.Sta.worst_sd)
+
+(* Ripple counters (type 1) clock each register from the one before.
+   In netlist order one launch round times the whole chain (a round
+   reads the launch times it has already updated) and a second finds
+   nothing changed; with the instances reversed each round times one
+   more stage. Both orders give each row's report, pinned as hex floats
+   from the analysis that ran one launch round per register; the SD of
+   every input is 0. The summary agrees with the report. *)
+let ripple_reports =
+  [ (2, "0x1.ccccccccccccdp+3",
+     [ "0x1.570a3d70a3d71p+2"; "0x1.6p+3"; "0x1.e666666666667p+3";
+       "0x1.c666666666667p+3" ]);
+    (3, "0x1.4a8f5c28f5c29p+4",
+     [ "0x1.570a3d70a3d71p+2"; "0x1.73d70a3d70a3ep+3"; "0x1.1428f5c28f5c3p+4";
+       "0x1.5bae147ae147ap+4"; "0x1.4bae147ae147ap+4" ]);
+    (4, "0x1.aeb851eb851ecp+4",
+     [ "0x1.570a3d70a3d71p+2"; "0x1.73d70a3d70a3ep+3"; "0x1.1e147ae147ae2p+4";
+       "0x1.7851eb851eb86p+4"; "0x1.c4f5c28f5c29p+4"; "0x1.b4f5c28f5c29p+4" ]);
+    (5, "0x1.0970a3d70a3d7p+5",
+     [ "0x1.570a3d70a3d71p+2"; "0x1.73d70a3d70a3ep+3"; "0x1.1e147ae147ae2p+4";
+       "0x1.823d70a3d70a4p+4"; "0x1.dc7ae147ae148p+4"; "0x1.0fd70a3d70a3dp+5";
+       "0x1.07d70a3d70a3dp+5" ]);
+    (6, "0x1.3b851eb851eb8p+5",
+     [ "0x1.570a3d70a3d71p+2"; "0x1.73d70a3d70a3ep+3"; "0x1.1e147ae147ae2p+4";
+       "0x1.823d70a3d70a4p+4"; "0x1.e666666666666p+4"; "0x1.2051eb851eb85p+5";
+       "0x1.44147ae147ae1p+5"; "0x1.3c147ae147ae1p+5" ]);
+    (7, "0x1.6d99999999999p+5",
+     [ "0x1.570a3d70a3d71p+2"; "0x1.73d70a3d70a3ep+3"; "0x1.1e147ae147ae2p+4";
+       "0x1.823d70a3d70a4p+4"; "0x1.e666666666666p+4"; "0x1.2547ae147ae14p+5";
+       "0x1.5266666666666p+5"; "0x1.78b851eb851ebp+5"; "0x1.70b851eb851ebp+5" ]);
+    (8, "0x1.9fae147ae147ap+5",
+     [ "0x1.570a3d70a3d71p+2"; "0x1.73d70a3d70a3ep+3"; "0x1.1e147ae147ae2p+4";
+       "0x1.823d70a3d70a4p+4"; "0x1.e666666666666p+4"; "0x1.2547ae147ae14p+5";
+       "0x1.575c28f5c28f5p+5"; "0x1.847ae147ae147p+5"; "0x1.a6147ae147aep+5";
+       "0x1.9e147ae147aep+5" ]) ]
+
+let test_ripple_reports () =
+  let hex = Printf.sprintf "%h" in
+  List.iter
+    (fun ((size, cw, wds), reversed) ->
+      let label =
+        Printf.sprintf "ripple counter %d%s" size (if reversed then " reversed" else "")
+      in
+      let nl = counter ~size ~typ:1 ~load:0 ~enable:0 ~ud:1 () in
+      let nl =
+        if reversed then { nl with Netlist.instances = List.rev nl.Netlist.instances }
+        else nl
+      in
+      let g = Sta.build nl in
+      let r = Sta.evaluate g in
+      check Alcotest.string (label ^ " CW") cw (hex r.Sta.clock_width);
+      check Alcotest.(list string) (label ^ " WD") wds
+        (List.map (fun (_, t) -> hex t) r.Sta.output_delays);
+      List.iter
+        (fun (i, t) -> check Alcotest.string (label ^ " SD " ^ i) "0x0p+0" (hex t))
+        r.Sta.setup_times;
+      check Alcotest.bool (label ^ " summary") true
+        (summary_bits (Sta.summarize g) = summary_bits (Sta.summary_of_report r)))
+    (List.concat_map (fun row -> [ (row, false); (row, true) ]) ripple_reports)
+
+(* Designs where the SD of all inputs at once is not one pass from
+   them: with no inputs the per-input list is empty, so there is no
+   worst SD, although the pass from every input would give the tie
+   cell's path one; an input that an instance also drives is a path
+   start only in its own pass. The summary's worst SD is pinned, and
+   agrees with the report. *)
+let worst_sd_rows =
+  let inst name cell conns = { Netlist.inst_name = name; cell; size = 1.0; conns } in
+  [ ("no inputs (TIE1 into D and CK)",
+     { Netlist.name = "tied"; inputs = []; outputs = [ "q" ];
+       instances =
+         [ inst "T1" "TIE1" [ ("Y", "t") ];
+           inst "F1" "DFF" [ ("D", "t"); ("CK", "t"); ("Q", "q") ] ] },
+     None);
+    ("an input driven by an instance",
+     { Netlist.name = "driven"; inputs = [ "a"; "b" ]; outputs = [ "q" ];
+       instances =
+         [ inst "U1" "INV" [ ("A", "a"); ("Y", "b") ];
+           inst "F1" "DFF" [ ("D", "b"); ("CK", "a"); ("Q", "q") ] ] },
+     (* SD a = 3.4 through U1, SD b = 2.5; a pass sourced at both would
+        start b at 0 and read 2.5 *)
+     Some "0x1.b333333333333p+1") ]
+
+let test_worst_sd_rows () =
+  List.iter
+    (fun (label, nl, expected) ->
+      let g = Sta.build nl in
+      let s = Sta.summarize g in
+      check Alcotest.(option string) label expected
+        (Option.map (Printf.sprintf "%h") s.Sta.worst_sd);
+      check Alcotest.bool (label ^ ": summary = report") true
+        (summary_bits s = summary_bits (Sta.summary_of_report (Sta.evaluate g))))
+    worst_sd_rows
+
+(* The sizer against its oracle, which times every candidate with the
+   full report: the sized netlists are equal to the last bit, for every
+   strategy, under seeded random clock-width, delay, set-up and load
+   constraints drawn around each design's own unsized figures. *)
+let test_sizing_oracle () =
+  let designs =
+    [| counter ~size:3 ~typ:1 (); counter ~size:4 ~load:1 ~enable:1 ~ud:3 ();
+       counter ~size:5 (); counter ~size:6 ~typ:1 ~load:1 ~enable:1 ();
+       adder 3; adder 5;
+       component "register" [ ("size", 4) ]; component "comparator" [ ("size", 3) ] |]
+  in
+  let st = Random.State.make [| 0x51ce |] in
+  let sizes (nl : Netlist.t) =
+    List.map (fun (i : Netlist.instance) -> Int64.bits_of_float i.size) nl.Netlist.instances
+  in
+  for case = 1 to 60 do
+    let nl = designs.(Random.State.int st (Array.length designs)) in
+    let r = Sta.analyze nl in
+    let some p x = if Random.State.int st 100 < p then Some x else None in
+    let scale x = x *. (0.6 +. Random.State.float st 0.5) in
+    let worst_sd = List.fold_left (fun acc (_, t) -> Float.max acc t) 0.0 r.Sta.setup_times in
+    let c =
+      { Sizing.clock_width = some 60 (scale r.Sta.clock_width);
+        comb_delays =
+          List.filter_map
+            (fun (o, wd) -> some 30 (o, scale wd))
+            (("*", List.fold_left (fun acc (_, t) -> Float.max acc t) 0.0 r.Sta.output_delays)
+             :: r.Sta.output_delays);
+        setup_bound = some 50 (scale worst_sd);
+        port_loads =
+          List.filter_map (fun o -> some 30 (o, Random.State.float st 50.0)) nl.Netlist.outputs;
+        strategy = [| Sizing.Fastest; Sizing.Balanced; Sizing.Cheapest |].(case mod 3) }
+    in
+    let label = Printf.sprintf "case %d (%s)" case nl.Netlist.name in
+    check Alcotest.(list int64) label
+      (sizes (Oracle_sizing.size_to_constraints nl c))
+      (sizes (Sizing.size_to_constraints nl c));
+    check Alcotest.bool (label ^ " meets") (Oracle_sizing.meets_constraints nl c)
+      (Sizing.meets_constraints nl c)
+  done
+
 (* Random resizes, including restores to the size an instance had,
    re-timed in place: after every step the report and the critical
    set equal those of a graph built afresh from the materialized
-   netlist, to the last bit. The fresh graph is asked for its critical
+   netlist, to the last bit, and the one-pass summary's worst SD is
+   the largest of the report's per-input list. The fresh graph is asked for its critical
    set before any report, so it computes its own launch times; the
    resized one is asked before or after its report at random, so both
    stale and reused launch times are covered. *)
@@ -270,6 +416,8 @@ let prop_set_size_matches_fresh_graph =
            || crit <> fresh_crit
            || Int64.bits_of_float (Sta.area g)
               <> Int64.bits_of_float (Sta.cell_area (Sta.netlist g))
+           || summary_bits (Sta.summarize g)
+              <> summary_bits (Sta.summary_of_report r)
         then ok := false
       done;
       !ok)
@@ -335,5 +483,8 @@ let () =
          Alcotest.test_case "load costs area" `Quick test_sizing_load_costs_area ]);
       ("graph",
        [ QCheck_alcotest.to_alcotest prop_set_size_matches_fresh_graph;
-         Alcotest.test_case "timing errors" `Quick test_errors ]);
+         Alcotest.test_case "timing errors" `Quick test_errors;
+         Alcotest.test_case "ripple counter reports" `Quick test_ripple_reports;
+         Alcotest.test_case "worst SD rows" `Quick test_worst_sd_rows;
+         Alcotest.test_case "sizing = full-report oracle" `Quick test_sizing_oracle ]);
       ("properties", props) ]
