@@ -423,8 +423,6 @@ let serve workspace durable host port port_file admin_port admin_port_file
       idle_timeout_s = idle_timeout;
       slow_threshold_s = slow_threshold;
       read_only;
-      repl_max_lag = Icdb_net.Service.default_config.repl_max_lag;
-      repl_batch = Icdb_net.Service.default_config.repl_batch;
       telemetry_period_s = telemetry_period }
   in
   let start_service config sync =
@@ -454,9 +452,7 @@ let serve workspace durable host port port_file admin_port admin_port_file
                restarts\n";
             exit 2
       in
-      let rconfig =
-        { Icdb_net.Replica.default_config with host = phost; port = pport }
-      in
+      let rconfig = { Icdb_net.Replica.host = phost; port = pport } in
       let replica =
         match Icdb_net.Replica.create ~config:rconfig ~workspace:ws () with
         | r -> r

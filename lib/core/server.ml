@@ -715,9 +715,7 @@ let request_inner t (spec : Spec.t) key =
             else n
         | None -> next_id t base
       in
-      let constraints_met =
-        Sizing.meets_constraints sized spec.Spec.constraints
-      in
+      let constraints_met = Sizing.report_meets report spec.Spec.constraints in
       let inst =
         { Instance.id;
           spec;
@@ -1005,20 +1003,55 @@ let rebuild_instance t row tbl =
     degraded = bool_col "degraded";
     power = lazy (Power.estimate nl) }
 
-(* Restore the id counter so fresh requests never collide with
-   recovered instance names. *)
-let restore_seq t =
-  Hashtbl.iter
-    (fun id _ ->
-      match String.rindex_opt id '_' with
-      | None -> ()
-      | Some i -> (
-          match
-            int_of_string_opt (String.sub id (i + 1) (String.length id - i - 1))
-          with
-          | Some n when n > t.seq -> t.seq <- n
-          | _ -> ()))
-    t.instances
+(* Raise the id counter past an instance name, so fresh requests never
+   collide with recovered or replicated ones. *)
+let bump_seq_for t id =
+  match String.rindex_opt id '_' with
+  | None -> ()
+  | Some i -> (
+      match
+        int_of_string_opt (String.sub id (i + 1) (String.length id - i - 1))
+      with
+      | Some n when n > t.seq -> t.seq <- n
+      | _ -> ())
+
+(* An instance row into memory, for reopen and for a follower's apply:
+   the instance rebuilt from its exact netlist file, its journaled
+   spec_key indexed and the id counter raised past it. Exact-spec reuse
+   survives that way; the §3.3 by_struct index does not, because its
+   reuse predicate needs the creating request's full constraints, which
+   are not persisted. Raises what [rebuild_instance] raises. *)
+let restore_instance t tbl row =
+  let id = Value.to_string (Table.get row tbl "id") in
+  Hashtbl.replace t.instances id (rebuild_instance t row tbl);
+  let key = Value.to_string (Table.get row tbl "spec_key") in
+  if key <> "" then Lru.put t.cache key id;
+  bump_seq_for t id
+
+(* An implementation's parsed design: the builtin text, else the
+   workspace's [<name>.iif], the file its row names (see
+   [insert_implementation]). A missing source is a [Resource] fault, one
+   that no longer parses [Corrupt]. *)
+let load_implementation t name =
+  let source =
+    match List.assoc_opt name Builtin.sources with
+    | Some s -> Some s
+    | None -> (
+        try Some (read_file (Filename.concat t.workspace (name ^ ".iif")))
+        with Sys_error _ -> None)
+  in
+  match source with
+  | None ->
+      Error
+        ( Fault.Resource,
+          Printf.sprintf
+            "implementation %s: source file missing or unreadable" name )
+  | Some src -> (
+      try Ok (Parser.parse src)
+      with _ ->
+        Error
+          ( Fault.Corrupt,
+            Printf.sprintf "implementation %s: source no longer parses" name ))
 
 (* Sweep files a crash may have stranded: half-written ".tmp" files and
    netlist/layout/IIF files whose database row is gone. *)
@@ -1111,30 +1144,11 @@ let reopen ?(verify = true)
     (fun row ->
       let name = Value.to_string (Table.get row impl_tbl "name") in
       if not (Hashtbl.mem t.registry name) then
-        let source =
-          match List.assoc_opt name Builtin.sources with
-          | Some s -> Some s
-          | None -> (
-              let file =
-                Filename.concat workspace
-                  (Filename.basename
-                     (Value.to_string (Table.get row impl_tbl "file")))
-              in
-              try Some (read_file file) with Sys_error _ -> None)
-        in
-        match source with
-        | None ->
+        match load_implementation t name with
+        | Ok design -> Hashtbl.replace t.registry name design
+        | Error (kind, msg) ->
             dropped_impls := name :: !dropped_impls;
-            drop Fault.Resource
-              (Printf.sprintf
-                 "implementation %s: source file missing or unreadable" name)
-        | Some src -> (
-            try Hashtbl.replace t.registry name (Parser.parse src)
-            with _ ->
-              dropped_impls := name :: !dropped_impls;
-              drop Fault.Corrupt
-                (Printf.sprintf "implementation %s: source no longer parses"
-                   name)))
+            drop kind msg)
     (Table.rows impl_tbl);
   ignore
     (Db.delete_where t.db "implementations" (fun row ->
@@ -1145,28 +1159,21 @@ let reopen ?(verify = true)
   let inst_tbl = Db.table db "instances" in
   List.iter
     (fun row ->
-      let id = Value.to_string (Table.get row inst_tbl "id") in
-      match rebuild_instance t row inst_tbl with
-      | inst ->
-          Hashtbl.replace t.instances id inst;
-          (* exact-specification reuse survives reopen via the
-             journaled spec_key; the §3.3 by_struct index does not —
-             its reuse predicate needs the creating request's full
-             constraints, which are not persisted *)
-          let key = Value.to_string (Table.get row inst_tbl "spec_key") in
-          if key <> "" then Lru.put t.cache key id
+      match restore_instance t inst_tbl row with
+      | () -> ()
       | exception Faultinject.Crash s -> raise (Faultinject.Crash s)
       | exception Fault.Fault (kind, msg) -> drop kind msg
       | exception e ->
           drop Fault.Corrupt
-            (Printf.sprintf "instance %s: %s" id (Printexc.to_string e)))
+            (Printf.sprintf "instance %s: %s"
+               (Value.to_string (Table.get row inst_tbl "id"))
+               (Printexc.to_string e)))
     (Table.rows inst_tbl);
   (* drop rows whose instance could not be reconstructed *)
   ignore
     (Db.delete_where t.db "instances" (fun row ->
          let id = Value.to_string (Table.get row inst_tbl "id") in
          not (Hashtbl.mem t.instances id)));
-  restore_seq t;
   let orphans = sweep_orphans t in
   let report =
     { rr_entries_replayed = rp.Db.rp_applied;
@@ -1212,16 +1219,6 @@ let replication_files entry =
   | Journal.Insert ("implementations", values) -> file_col values 2
   | _ -> []
 
-let bump_seq_for t id =
-  match String.rindex_opt id '_' with
-  | None -> ()
-  | Some i -> (
-      match
-        int_of_string_opt (String.sub id (i + 1) (String.length id - i - 1))
-      with
-      | Some n when n > t.seq -> t.seq <- n
-      | _ -> ())
-
 let apply_replicated t entry =
   Faultinject.hit Faultinject.Repl_replay;
   if not t.durable then fail "apply_replicated: server is not durable";
@@ -1246,18 +1243,14 @@ let apply_replicated t entry =
           Db.apply_entry t.db entry;
           let tbl = Db.table t.db "instances" in
           let row = Array.of_list values in
-          let id = Value.to_string (Table.get row tbl "id") in
-          match rebuild_instance t row tbl with
-          | inst ->
-              Hashtbl.replace t.instances id inst;
-              let key = Value.to_string (Table.get row tbl "spec_key") in
-              if key <> "" then Lru.put t.cache key id;
-              bump_seq_for t id
+          match restore_instance t tbl row with
+          | () -> ()
           | exception Faultinject.Crash s -> raise (Faultinject.Crash s)
           | exception e ->
               (* keep the row — the same record would also journal on
                  the primary; queries for this one instance degrade
                  until a later Delete or a full re-sync heals it *)
+              let id = Value.to_string (Table.get row tbl "id") in
               Event.warn
                 ~fields:[ ("instance", id) ]
                 "replica: cannot rebuild instance from shipped row: %s"
@@ -1273,24 +1266,12 @@ let apply_replicated t entry =
           Db.apply_entry t.db entry;
           match values with
           | Value.Str name :: _ -> (
-              let source =
-                match List.assoc_opt name Builtin.sources with
-                | Some s -> Some s
-                | None -> (
-                    let file = Filename.concat t.workspace (name ^ ".iif") in
-                    try Some (read_file file) with Sys_error _ -> None)
-              in
-              match source with
-              | Some src -> (
-                  try Hashtbl.replace t.registry name (Parser.parse src)
-                  with _ ->
-                    Event.warn
-                      ~fields:[ ("implementation", name) ]
-                      "replica: shipped implementation does not parse")
-              | None ->
+              match load_implementation t name with
+              | Ok design -> Hashtbl.replace t.registry name design
+              | Error (_, msg) ->
                   Event.warn
                     ~fields:[ ("implementation", name) ]
-                    "replica: shipped implementation source missing")
+                    "replica: shipped %s" msg)
           | _ -> ())
       | Journal.Delete ("implementations", values) ->
           Db.apply_entry t.db entry;

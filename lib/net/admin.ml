@@ -101,12 +101,11 @@ let readiness ?replica ~service ~sync () =
      | None -> []
      | Some r ->
          let lag_records, lag_seconds = Replica.lag r in
-         let rc = Replica.config r in
          [ ("repl_connected", Replica.connected r);
            ( Printf.sprintf "repl_lag_records(%d)" lag_records,
-             lag_records <= rc.Replica.max_lag_records );
+             lag_records <= Replica.max_lag_records );
            ( Printf.sprintf "repl_lag_seconds(%.1f)" lag_seconds,
-             lag_seconds <= rc.Replica.max_lag_seconds ) ])
+             lag_seconds <= Replica.max_lag_seconds ) ])
   in
   let ready = List.for_all snd checks in
   let body =

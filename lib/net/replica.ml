@@ -26,22 +26,19 @@
 
 open Icdb_obs
 
-type config = {
-  host : string;
-  port : int;
-  connect_retries : int;
-  backoff_s : float;
-  max_lag_records : int;
-  max_lag_seconds : float;
-}
+type config = { host : string; port : int }
 
-let default_config =
-  { host = "127.0.0.1";
-    port = 7601;
-    connect_retries = 5;
-    backoff_s = 0.1;
-    max_lag_records = 1_000;
-    max_lag_seconds = 10.0 }
+let default_config = { host = "127.0.0.1"; port = 7601 }
+
+(* Extra connect attempts at bootstrap, and the first reconnect backoff
+   (it doubles, capped at 5 s, jittered). *)
+let connect_retries = 5
+let backoff_s = 0.1
+
+(* The {!ready} bounds; [max_lag_seconds] also sizes the silent-stream
+   grace. *)
+let max_lag_records = 1_000
+let max_lag_seconds = 10.0
 
 exception Repl_error of string
 
@@ -172,7 +169,7 @@ let install_checkpoint ~workspace ~cursor =
 let fetch_checkpoint ~rcfg ~workspace =
   let c =
     Client.connect ~host:rcfg.host ~port:rcfg.port
-      ~retries:rcfg.connect_retries ~backoff_s:rcfg.backoff_s ()
+      ~retries:connect_retries ~backoff_s ()
   in
   Fun.protect
     ~finally:(fun () -> Client.close c)
@@ -328,7 +325,7 @@ let session t stop_r =
   let cursor = local_next t in
   let c =
     Client.connect ~host:t.rcfg.host ~port:t.rcfg.port ~retries:0
-      ~backoff_s:t.rcfg.backoff_s ()
+      ~backoff_s ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -345,7 +342,7 @@ let session t stop_r =
       ignore (update_lag t);
       (* heartbeats come at 1 Hz; a stream silent for much longer than
          the lag budget is a dead primary even if TCP has not noticed *)
-      let grace = Float.max 5.0 (2.0 *. t.rcfg.max_lag_seconds) in
+      let grace = Float.max 5.0 (2.0 *. max_lag_seconds) in
       let last_frame = ref (now ()) in
       let rec pump () =
         if not (Atomic.get t.stop_flag) then begin
@@ -386,7 +383,7 @@ let backoff stop_r total =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 let loop t stop_r =
-  let delay = ref t.rcfg.backoff_s in
+  let delay = ref backoff_s in
   while not (Atomic.get t.stop_flag) do
     let t0 = now () in
     (try session t stop_r with
@@ -409,7 +406,7 @@ let loop t stop_r =
     if not (Atomic.get t.stop_flag) then begin
       Metrics.incr c_reconnects;
       (* a session that lived a while earns a fresh backoff *)
-      if now () -. t0 > 5.0 then delay := t.rcfg.backoff_s;
+      if now () -. t0 > 5.0 then delay := backoff_s;
       backoff stop_r (!delay +. Random.float (0.25 *. !delay));
       delay := Float.min 5.0 (2.0 *. !delay)
     end
@@ -446,10 +443,9 @@ let stop t =
 let connected t = t.connected
 let cursor t = local_next t
 let lag t = update_lag t
-let config t = t.rcfg
 
 let ready t =
   let lag_records, lag_seconds = update_lag t in
   t.connected
-  && lag_records <= t.rcfg.max_lag_records
-  && lag_seconds <= t.rcfg.max_lag_seconds
+  && lag_records <= max_lag_records
+  && lag_seconds <= max_lag_seconds

@@ -26,19 +26,21 @@
     [records_applied], [reconnects], [checkpoints_fetched] counters. *)
 
 type config = {
-  host : string;               (** primary's host *)
-  port : int;                  (** primary's wire-protocol port *)
-  connect_retries : int;       (** extra connect attempts at bootstrap *)
-  backoff_s : float;           (** initial reconnect backoff (doubles,
-                                   capped at 5 s, jittered) *)
-  max_lag_records : int;       (** {!ready} bound on record lag *)
-  max_lag_seconds : float;     (** {!ready} bound on staleness; also
-                                   sizes the silent-stream grace *)
+  host : string;  (** primary's host *)
+  port : int;     (** primary's wire-protocol port *)
 }
 
 val default_config : config
-(** 127.0.0.1:7601, 5 connect retries, 0.1 s backoff, 1000-record /
-    10 s readiness bounds. *)
+(** 127.0.0.1:7601. The rest is fixed: bootstrap makes 5 extra connect
+    attempts, and reconnects back off from 0.1 s, doubling to at most
+    5 s, jittered. *)
+
+val max_lag_records : int
+(** {!ready}'s bound on record lag: 1 000. *)
+
+val max_lag_seconds : float
+(** {!ready}'s bound on staleness: 10 s. A stream silent for twice
+    this long is taken for a dead primary. *)
 
 exception Repl_error of string
 
@@ -51,7 +53,7 @@ val create : ?verify:bool -> ?config:config -> workspace:string -> unit -> t
     server rebuild (default false: the primary already verified every
     netlist it shipped).
     @raise Repl_error when the primary refuses (not durable, or itself
-    a follower) or cannot be reached within [connect_retries]. *)
+    a follower) or cannot be reached within its connect attempts. *)
 
 val sync : t -> Sync.t
 (** The lock wrapper around the follower's server — start the local
@@ -66,9 +68,6 @@ val run : t -> unit
 val stop : t -> unit
 (** Ask the loop to stop and join it. Idempotent. *)
 
-val config : t -> config
-(** The configuration the replica was created with. *)
-
 val connected : t -> bool
 (** True while a subscription is live. *)
 
@@ -82,6 +81,6 @@ val lag : t -> int * float
     fully caught up. Also refreshes the [repl.lag_*] gauges. *)
 
 val ready : t -> bool
-(** Failover-ready: connected, record lag within [max_lag_records] and
-    staleness within [max_lag_seconds]. {!Admin}'s /readyz gates on
+(** Failover-ready: connected, record lag within {!max_lag_records}
+    and staleness within {!max_lag_seconds}. {!Admin}'s /readyz gates on
     this when given a replica. *)

@@ -26,9 +26,9 @@
    that won't drain replies cannot keep submitting); past [wq_hardcap]
    the connection is killed (a client that never reads cannot buffer
    the server into the ground). Replication followers are exempt from
-   the hard cap — their sender threads throttle on the same high-water
-   mark, converting TCP backpressure into [fl_queued] growth and
-   eventually the [repl_max_lag] shed. *)
+   the hard cap, because a checkpoint is queued whole; the publisher
+   ships a follower nothing while its queue is at the high-water mark,
+   so the records it has not been sent yet wait in the journal. *)
 
 open Icdb_obs
 
@@ -42,8 +42,6 @@ type config = {
   idle_timeout_s : float;
   slow_threshold_s : float;
   read_only : bool;
-  repl_max_lag : int;
-  repl_batch : int;
   telemetry_period_s : float;
 }
 
@@ -57,8 +55,6 @@ let default_config =
     idle_timeout_s = 300.0;
     slow_threshold_s = 1.0;
     read_only = false;
-    repl_max_lag = 10_000;
-    repl_batch = 512;
     telemetry_period_s = 1.0 }
 
 (* Stop polling a connection for reads once this many response bytes
@@ -82,7 +78,9 @@ type conn = {
   mutable closed : bool;       (* fd actually closed (loop thread only) *)
   mutable last_active : float; (* wall clock of the last complete frame *)
   mutable follower : bool;     (* subscribed replication follower: exempt
-                                  from idle reaping and the hard cap *)
+                                  from idle reaping and the hard cap; its
+                                  drain below the mark and its close wake
+                                  the publisher *)
   dechunk : Wire.Dechunk.t;    (* reassembles partial reads; loop-owned *)
   wq : string Queue.t;         (* encoded frames awaiting the socket *)
   mutable wq_off : int;        (* bytes of the queue head already sent *)
@@ -98,29 +96,18 @@ type conn = {
                                   (loop thread; watchdog reads it) *)
 }
 
-(* One subscribed follower, owned by the publisher. The per-follower
-   frame queue decouples journal streaming from each follower's TCP
-   backpressure: the publisher never blocks on a socket, a dedicated
-   sender thread per follower feeds the connection's write queue at the
-   high-water mark, and a follower whose queue grows past
-   [repl_max_lag] records is shed. A follower the batch cap leaves
-   behind ([fl_behind]) gets its next batch when its sender has drained
-   the queue, so a long catch-up goes at the follower's own pace. *)
+(* One subscribed follower, owned by the publisher. Its batches go
+   straight onto its connection's write queue, and only while that
+   queue is under [wq_hiwater]: the publisher never blocks on a socket,
+   a slow follower costs one queue at the mark, and the records it has
+   not been sent yet stay in the journal. [flush_writes] wakes the
+   publisher when the queue falls back under the mark, so a long
+   catch-up goes at the follower's own pace. *)
 type follower = {
   fl_conn : conn;
   fl_rid : int;                (* subscribe request id, echoed on pushes *)
-  mutable fl_cursor : int;     (* next journal sequence number to stream *)
-  fl_qlock : Mutex.t;
-  fl_qcond : Condition.t;
-  fl_frames : (string * int) Queue.t;  (* encoded frame, record count *)
-  mutable fl_queued : int;     (* records sitting in [fl_frames] *)
-  mutable fl_sender : Thread.t option;
-  mutable fl_dead : bool;      (* shed or shutting down *)
-  mutable fl_reason : string;  (* why, for the courtesy Repl_error *)
-  mutable fl_dead_at : float;
+  mutable fl_cursor : int;     (* next journal sequence number to ship *)
   mutable fl_last_sent : float;  (* heartbeat pacing *)
-  mutable fl_behind : bool;      (* capped batch queued, more to ship
-                                    once it drains; under [fl_qlock] *)
   mutable fl_retry_at : float;   (* a failed stream retries at this
                                     instant; infinity when none *)
 }
@@ -177,7 +164,7 @@ type t = {
   pub_w : Unix.file_descr;
   pub_commit : int Atomic.t;
   pub_subscribe : int Atomic.t;
-  pub_drain : bool Atomic.t;     (* a behind follower's queue drained *)
+  pub_drain : bool Atomic.t;     (* a follower's queue fell below the mark *)
   pub_signalled : int Atomic.t;  (* highest cursor a wake has carried *)
   (* The journal followers stream from; [None] while no follower is
      subscribed, which is what keeps a follower-less primary from doing
@@ -209,9 +196,8 @@ let c_followers_shed = Metrics.counter "repl.followers_shed"
 let c_checkpoints_sent = Metrics.counter "repl.checkpoints_sent"
 
 (* Why the publisher woke: a commit or a subscribe announced a new
-   commit cursor, a clock deadline passed (a heartbeat, a shed
-   follower's grace), a failed stream's retry came due, or a follower
-   left behind by the batch cap drained its queue. *)
+   commit cursor, a heartbeat came due, a failed stream's retry came
+   due, or a follower's write queue fell below the mark. *)
 let c_wake_commit = Metrics.counter "repl.wake.commit"
 let c_wake_subscribe = Metrics.counter "repl.wake.subscribe"
 let c_wake_timer = Metrics.counter "repl.wake.timer"
@@ -219,8 +205,8 @@ let c_wake_retry = Metrics.counter "repl.wake.retry"
 let c_wake_drain = Metrics.counter "repl.wake.drain"
 
 (* The commit cursor the publisher ships up to, and the lowest cursor
-   shipped to any follower: a write is on every follower's wire once
-   the second passes it. *)
+   placed on any follower's connection: a write is queued for every
+   follower once the second passes it. *)
 let g_commit_cursor = Metrics.gauge "repl.commit_cursor"
 let g_min_shipped = Metrics.gauge "repl.min_shipped_cursor"
 
@@ -307,9 +293,14 @@ let mark_dead t conn =
 
 (* Nonblocking flush of the write queue; loop/teardown thread only.
    Stops at EAGAIN (the socket buffer is full; poll will say when);
-   a socket error marks the connection dead. *)
-let flush_writes conn =
+   a socket error marks the connection dead. A follower's queue that
+   this flush takes from at or above the mark to below it wakes the
+   publisher, which ships nothing to a follower at the mark. The
+   crossing is judged under [wlock], so a queue that fills and drains
+   between two publisher passes still wakes it. *)
+let flush_writes t conn =
   Mutex.lock conn.wlock;
+  let was_full = conn.wq_bytes >= wq_hiwater in
   let continue = ref true in
   while !continue && not (Queue.is_empty conn.wq) do
     let head = Queue.peek conn.wq in
@@ -333,11 +324,18 @@ let flush_writes conn =
         conn.alive <- false;
         continue := false
   done;
-  Mutex.unlock conn.wlock
+  let drained = conn.follower && was_full && conn.wq_bytes < wq_hiwater in
+  Mutex.unlock conn.wlock;
+  if drained then begin
+    Atomic.set t.pub_drain true;
+    wake_publisher t
+  end
 
 (* Close the socket and unregister; loop/teardown thread only. A last
    best-effort flush delivers whatever fits in the socket buffer (the
-   courtesy Bye / Repl_error frames). Idempotent. *)
+   courtesy Bye / Repl_error frames). Closing a follower wakes the
+   publisher to drop it: a follower at the mark has no deadline that
+   would bring the publisher round. Idempotent. *)
 let close_conn t conn =
   let doit =
     Mutex.lock conn.wlock;
@@ -347,7 +345,7 @@ let close_conn t conn =
     doit
   in
   if doit then begin
-    flush_writes conn;
+    flush_writes t conn;
     Mutex.lock conn.wlock;
     conn.alive <- false;
     Mutex.unlock conn.wlock;
@@ -357,6 +355,7 @@ let close_conn t conn =
     Metrics.set g_connections (float_of_int (Hashtbl.length t.conns));
     Mutex.unlock t.clock;
     Metrics.incr t.ctr.c_closed;
+    if conn.follower then wake_publisher t;
     Event.debug ~fields:[ ("conn", string_of_int conn.cid) ]
       "net: connection %s closed" conn.peer
   end
@@ -410,13 +409,14 @@ let conn_table t =
 let snapshot_name = "icdb.snapshot"
 let chunk_bytes = 1 lsl 20
 
+(* Journal records per pushed batch. *)
+let batch_records = 512
+
 (* The clock deadlines the publisher keeps: a follower that got nothing
-   for [heartbeat_s] gets an empty batch; a shed follower whose socket
-   lingers is forced shut after [shed_grace_s]; a failed stream is
-   retried after [retry_s]. Nothing else is timed: records ship when a
-   wake announces them. *)
+   for [heartbeat_s] gets an empty batch, and a failed stream is retried
+   after [retry_s]. Nothing else is timed: records ship when a wake
+   announces them or a follower's write queue falls below the mark. *)
 let heartbeat_s = 1.0
-let shed_grace_s = 5.0
 let retry_s = 0.05
 
 (* Raise [a] to at least [v]. *)
@@ -458,77 +458,23 @@ let checkpoint_files workspace =
          || Filename.check_suffix name ".iif")
   |> List.sort compare
 
-(* Mark a follower for removal without doing anything that could block:
-   the publisher calls this, and the publisher must never wait on a
-   follower's socket. The sender thread wakes, queues the courtesy
-   [Repl_error] and marks the connection dead; the event loop flushes
-   what it can and closes. *)
-let shed_follower fl reason =
-  if not fl.fl_dead then begin
-    fl.fl_dead <- true;
-    fl.fl_reason <- reason;
-    fl.fl_dead_at <- now ();
-    Metrics.incr c_followers_shed;
-    Event.warn
-      ~fields:[ ("conn", string_of_int fl.fl_conn.cid) ]
-      "repl: dropping follower %s: %s" fl.fl_conn.peer reason;
-    Mutex.lock fl.fl_qlock;
-    Condition.broadcast fl.fl_qcond;
-    Mutex.unlock fl.fl_qlock
-  end
-
-(* Per-follower sender: drains the frame queue into the connection's
-   write queue, pacing on the high-water mark so TCP backpressure from
-   a slow follower surfaces as [fl_queued] growth (and eventually the
-   [repl_max_lag] shed) instead of unbounded server-side buffering. *)
-let sender_loop t fl =
-  let rec loop () =
-    Mutex.lock fl.fl_qlock;
-    while Queue.is_empty fl.fl_frames && not fl.fl_dead && fl.fl_conn.alive do
-      Condition.wait fl.fl_qcond fl.fl_qlock
-    done;
-    let item =
-      if Queue.is_empty fl.fl_frames then None
-      else begin
-        let bytes, n = Queue.pop fl.fl_frames in
-        fl.fl_queued <- fl.fl_queued - n;
-        Some bytes
-      end
-    in
-    let drained = fl.fl_behind && Queue.is_empty fl.fl_frames in
-    if drained then fl.fl_behind <- false;
-    Mutex.unlock fl.fl_qlock;
-    if drained then begin
-      Atomic.set t.pub_drain true;
-      wake_publisher t
-    end;
-    match item with
-    | Some bytes when fl.fl_conn.alive && not fl.fl_dead ->
-        let rec throttle () =
-          if fl.fl_conn.alive && not fl.fl_dead
-             && fl.fl_conn.wq_bytes >= wq_hiwater
-          then begin
-            Thread.delay 0.01;
-            throttle ()
-          end
-        in
-        throttle ();
-        send_bytes t fl.fl_conn bytes;
-        loop ()
-    | Some _ | None -> ()
-  in
-  loop ();
-  if fl.fl_dead && fl.fl_conn.alive then
-    send_resp t fl.fl_conn fl.fl_rid (Wire.Repl_error fl.fl_reason);
-  mark_dead t fl.fl_conn;
-  (* let the publisher drop the follower from its list *)
-  wake_publisher t
+(* Drop a follower: queue the courtesy [Repl_error] and mark the
+   connection dead. Neither blocks; the event loop flushes what it can
+   and closes, and the publisher's sweep forgets the follower. *)
+let shed_follower t fl reason =
+  Metrics.incr c_followers_shed;
+  Event.warn
+    ~fields:[ ("conn", string_of_int fl.fl_conn.cid) ]
+    "repl: dropping follower %s: %s" fl.fl_conn.peer reason;
+  send_resp t fl.fl_conn fl.fl_rid (Wire.Repl_error reason);
+  mark_dead t fl.fl_conn
 
 (* The subscribe handshake, run on the worker that picked the frame up.
    Under the server lock, decide whether the follower's cursor is still
    inside the journal window (stream from it) or stale/fresh (checkpoint
    first, then stream from the post-checkpoint cursor); queue the
-   checkpoint synchronously, then hand the follower to the publisher. *)
+   checkpoint whole, then hand the follower to the publisher, so chunk
+   and batch frames never interleave. *)
 let handle_subscribe t conn rid cursor =
   if t.cfg.read_only then
     send_resp t conn rid
@@ -608,19 +554,9 @@ let handle_subscribe t conn rid cursor =
           { fl_conn = conn;
             fl_rid = rid;
             fl_cursor = start_cursor;
-            fl_qlock = Mutex.create ();
-            fl_qcond = Condition.create ();
-            fl_frames = Queue.create ();
-            fl_queued = 0;
-            fl_sender = None;
-            fl_dead = false;
-            fl_reason = "";
-            fl_dead_at = 0.0;
             fl_last_sent = 0.0;
-            fl_behind = false;
             fl_retry_at = infinity }
         in
-        fl.fl_sender <- Some (Thread.create (sender_loop t) fl);
         Mutex.lock t.rlock;
         t.followers <- fl :: t.followers;
         Atomic.set t.repl_journal (Some j);
@@ -634,35 +570,28 @@ let handle_subscribe t conn rid cursor =
         wake_publisher t
   end
 
-(* Queue one batch frame on [fl]'s sender. [behind] says the batch cap
-   left records below the commit cursor; a heartbeat leaves it as is. *)
-let push_batch fl ~records ~files ~jnext ~behind =
+(* A follower at the mark gets nothing until its queue drains. *)
+let at_mark fl = fl.fl_conn.wq_bytes >= wq_hiwater
+
+(* Queue one batch frame on [fl]'s connection. *)
+let push_batch t fl ~records ~files ~jnext =
   let n = List.length records in
-  let bytes =
-    Wire.encode_response
-      { id = fl.fl_rid;
-        body =
-          Wire.Journal_batch
-            { jb_first = fl.fl_cursor;
-              jb_next = jnext;
-              jb_records = records;
-              jb_files = files } }
-  in
-  Mutex.lock fl.fl_qlock;
-  Queue.push (bytes, n) fl.fl_frames;
-  fl.fl_queued <- fl.fl_queued + n;
-  (match behind with Some b -> fl.fl_behind <- b | None -> ());
-  Condition.signal fl.fl_qcond;
-  Mutex.unlock fl.fl_qlock;
+  send_resp t fl.fl_conn fl.fl_rid
+    (Wire.Journal_batch
+       { jb_first = fl.fl_cursor;
+         jb_next = jnext;
+         jb_records = records;
+         jb_files = files });
   fl.fl_cursor <- fl.fl_cursor + n;
   fl.fl_last_sent <- now ();
   Metrics.incr c_batches_sent;
   if n > 0 then Metrics.incr ~by:n c_records_sent
 
-(* Ship [fl] its records below [bound], at most one batch of them, with
-   the workspace files they depend on. A failed or torn read keeps the
-   cursor and schedules a retry. *)
-let ship_records t fl ~bound =
+(* Ship [fl] its records below [bound], with the workspace files they
+   depend on, one full batch per server-lock hold, until it reaches
+   [bound] or the mark. A failed or torn read keeps the cursor and
+   schedules a retry. *)
+let rec ship_records t fl ~bound =
   match
     Sync.with_server ~notify:false t.sync (fun server ->
         match Icdb_reldb.Db.journal (Icdb.Server.db server) with
@@ -672,7 +601,7 @@ let ship_records t fl ~bound =
             let next = Icdb_reldb.Journal.next_seq j in
             if fl.fl_cursor < base || fl.fl_cursor > next then `Stale
             else begin
-              let want = min t.cfg.repl_batch (bound - fl.fl_cursor) in
+              let want = min batch_records (bound - fl.fl_cursor) in
               let s =
                 Icdb_reldb.Journal.stream_from j ~seq:fl.fl_cursor
                   ~max_records:want ()
@@ -699,55 +628,42 @@ let ship_records t fl ~bound =
          not moved *)
       fl.fl_retry_at <- now () +. retry_s;
       Event.warn "repl: journal stream failed: %s" (Printexc.to_string e)
-  | `Gone -> shed_follower fl "primary journal detached"
+  | `Gone -> shed_follower t fl "primary journal detached"
   | `Stale ->
-      shed_follower fl
+      shed_follower t fl
         "cursor left the journal window (a checkpoint truncated it); \
          reconnect for a fresh checkpoint"
   | `Batch (records, files, want, jnext) ->
       let n = List.length records in
       fl.fl_retry_at <- (if n < want then now () +. retry_s else infinity);
-      push_batch fl ~records ~files ~jnext
-        ~behind:(Some (n = want && fl.fl_cursor + n < bound))
+      push_batch t fl ~records ~files ~jnext;
+      if n = want && fl.fl_cursor < bound && fl.fl_conn.alive
+         && not (at_mark fl)
+      then ship_records t fl ~bound
 
-(* Serve one live follower in a publisher pass: records when it is
-   behind [bound] and not waiting on a drain or a retry (or its retry
-   came due), else a heartbeat when it got nothing for [heartbeat_s],
-   which carries the commit cursor so the follower can measure its lag.
-   A follower whose queue grew past its bounds is shed instead. *)
+(* Serve one live follower in a publisher pass: nothing at the mark;
+   records when it is behind [bound] and no retry is pending (or its
+   retry came due); else a heartbeat when it got nothing for
+   [heartbeat_s], which carries the commit cursor so the follower can
+   measure its lag. *)
 let serve_follower t fl ~bound ~tnow =
-  let queued, frames, behind =
-    Mutex.lock fl.fl_qlock;
-    let q = (fl.fl_queued, Queue.length fl.fl_frames, fl.fl_behind) in
-    Mutex.unlock fl.fl_qlock;
-    q
-  in
   let retry_due = fl.fl_retry_at <= tnow in
-  let records_due =
-    retry_due
-    || (fl.fl_retry_at = infinity && (not behind) && fl.fl_cursor < bound)
-  in
-  if not (records_due || tnow -. fl.fl_last_sent >= heartbeat_s) then `Idle
-  else if queued > t.cfg.repl_max_lag || frames > 512 then begin
-    shed_follower fl
-      (Printf.sprintf
-         "follower lag exceeded %d records; re-sync from a checkpoint"
-         t.cfg.repl_max_lag);
-    `Idle
-  end
-  else if records_due then begin
+  if at_mark fl then `Idle
+  else if retry_due || (fl.fl_retry_at = infinity && fl.fl_cursor < bound)
+  then begin
     ship_records t fl ~bound;
     if retry_due then `Retry else `Records
   end
-  else begin
+  else if tnow -. fl.fl_last_sent >= heartbeat_s then begin
     let jnext =
       match Atomic.get t.repl_journal with
       | Some j -> Icdb_reldb.Journal.committed j
       | None -> fl.fl_cursor
     in
-    push_batch fl ~records:[] ~files:[] ~jnext ~behind:None;
+    push_batch t fl ~records:[] ~files:[] ~jnext;
     `Heartbeat
   end
+  else `Idle
 
 let followers_snapshot t =
   Mutex.lock t.rlock;
@@ -755,38 +671,28 @@ let followers_snapshot t =
   Mutex.unlock t.rlock;
   l
 
-(* The nearest clock deadline over the followers: a heartbeat, a retry,
-   or a shed follower's grace. *)
+(* The nearest clock deadline over the followers: a heartbeat or a
+   retry. A follower at the mark has none (its drain wakes the
+   publisher); its heartbeat, already due, would spin the poll. *)
 let next_deadline fls =
   List.fold_left
     (fun acc fl ->
-      if not fl.fl_conn.alive then acc
-      else if fl.fl_dead then Float.min acc (fl.fl_dead_at +. shed_grace_s)
+      if (not fl.fl_conn.alive) || at_mark fl then acc
       else
         Float.min acc
           (Float.min fl.fl_retry_at (fl.fl_last_sent +. heartbeat_s)))
     infinity fls
 
 (* One pass over the followers after a wake, then the registry sweep:
-   closed connections drop out (their senders are woken to exit), and
-   the journal handle goes once the last follower has. *)
+   closed connections drop out, and the journal handle goes once the
+   last follower has. *)
 let publish_pass t ~bound =
   let fls = followers_snapshot t in
   let tnow = now () in
   let retried = ref false and timed = ref false in
   List.iter
     (fun fl ->
-      if fl.fl_dead then begin
-        (* a shed follower that lingers (its courtesy frame
-           undeliverable) gets its socket forced shut, once *)
-        if fl.fl_conn.alive && tnow -. fl.fl_dead_at > shed_grace_s then begin
-          timed := true;
-          fl.fl_dead_at <- infinity;
-          try Unix.shutdown fl.fl_conn.fd Unix.SHUTDOWN_ALL
-          with Unix.Unix_error _ -> ()
-        end
-      end
-      else if fl.fl_conn.alive then
+      if fl.fl_conn.alive then
         match serve_follower t fl ~bound ~tnow with
         | `Retry -> retried := true
         | `Heartbeat -> timed := true
@@ -795,7 +701,7 @@ let publish_pass t ~bound =
   if !retried then Metrics.incr c_wake_retry;
   if !timed then Metrics.incr c_wake_timer;
   Mutex.lock t.rlock;
-  let live, gone = List.partition (fun fl -> fl.fl_conn.alive) t.followers in
+  let live = List.filter (fun fl -> fl.fl_conn.alive) t.followers in
   t.followers <- live;
   if live = [] then Atomic.set t.repl_journal None;
   Metrics.set g_followers (float_of_int (List.length t.followers));
@@ -804,15 +710,7 @@ let publish_pass t ~bound =
     (float_of_int
        (List.fold_left (fun acc fl -> min acc fl.fl_cursor) (max 0 bound)
           live));
-  Mutex.unlock t.rlock;
-  (* a follower whose connection died while its sender sat on an empty
-     queue: wake the sender so its thread exits *)
-  List.iter
-    (fun fl ->
-      Mutex.lock fl.fl_qlock;
-      Condition.broadcast fl.fl_qcond;
-      Mutex.unlock fl.fl_qlock)
-    gone
+  Mutex.unlock t.rlock
 
 (* The publisher parks on its self-pipe until a wake or the nearest
    clock deadline; it has no poll period. Records ship only below
@@ -1121,8 +1019,7 @@ let teardown t =
   Mutex.unlock t.qlock;
   List.iter Thread.join t.worker_threads;
   (* retire the replication plane: the publisher wakes and exits on the
-     stop flag, then every sender is woken with its follower marked
-     dead *)
+     stop flag; from here on followers are ordinary connections *)
   (match t.publisher with
    | Some th ->
        wake_publisher t;
@@ -1130,26 +1027,6 @@ let teardown t =
        Sync.set_on_release t.sync ignore;
        Atomic.set t.repl_journal None
    | None -> ());
-  let fls =
-    Mutex.lock t.rlock;
-    let l = t.followers in
-    t.followers <- [];
-    Mutex.unlock t.rlock;
-    l
-  in
-  List.iter
-    (fun fl ->
-      fl.fl_dead <- true;
-      fl.fl_reason <- "primary shutting down";
-      fl.fl_dead_at <- now ();
-      Mutex.lock fl.fl_qlock;
-      Condition.broadcast fl.fl_qcond;
-      Mutex.unlock fl.fl_qlock)
-    fls;
-  List.iter
-    (fun fl ->
-      match fl.fl_sender with Some th -> Thread.join th | None -> ())
-    fls;
   (* say goodbye, then flush all write queues out *)
   List.iter
     (fun conn -> if conn.alive then send_resp t conn 0 Wire.Bye)
@@ -1173,7 +1050,7 @@ let teardown t =
            Array.iteri
              (fun i c ->
                if res.(i) land Evpoll.er <> 0 then mark_dead t c
-               else if res.(i) land Evpoll.wr <> 0 then flush_writes c)
+               else if res.(i) land Evpoll.wr <> 0 then flush_writes t c)
              arr
        | exception _ -> Thread.delay 0.05);
       flush_all ()
@@ -1266,7 +1143,7 @@ let event_loop t =
              let r = res.(i + 2) in
              if r land Evpoll.er <> 0 then mark_dead t c
              else begin
-               if r land Evpoll.wr <> 0 then flush_writes c;
+               if r land Evpoll.wr <> 0 then flush_writes t c;
                (* re-check interest: the flush may have erred the
                   connection out, and POLLHUP reports as readable even
                   on read-paused connections *)
@@ -1445,8 +1322,8 @@ let counters () =
 
 let start ?(config = default_config) sync =
   (* a dead peer must surface as EPIPE on the write, not kill the
-     process; set here (not only in the CLI) so library embedders and
-     the replication senders are covered *)
+     process; set here (not only in the CLI) so library embedders are
+     covered *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in

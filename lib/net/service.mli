@@ -80,9 +80,6 @@ type config = {
                                  with [Error Read_only] and [Subscribe]
                                  with [Repl_error]; queries are served
                                  locally *)
-  repl_max_lag : int;        (** records a follower may have queued but
-                                 unsent before it is shed *)
-  repl_batch : int;          (** max journal records per pushed batch *)
   telemetry_period_s : float;
   (** sampling period of the continuous-telemetry rings (see
       {!Icdb_obs.Series}); zero or negative disables the sampler and
@@ -92,8 +89,7 @@ type config = {
 val default_config : config
 (** 127.0.0.1:7601, 64 connections, 4 workers, queue of 128, 30 s
     request timeout, 300 s idle timeout, 1 s slow threshold; not
-    read-only, 10_000-record shed bound, 512-record batches; 1 s
-    telemetry period. *)
+    read-only; 1 s telemetry period. *)
 
 type t
 
@@ -160,14 +156,20 @@ val follower_count : t -> int
     the workspace files they depend on); a stale or fresh cursor first
     receives a full checkpoint ([Checkpoint_offer] + [Checkpoint_chunk]
     frames: snapshot, netlists, IIF sources) taken under the server
-    lock. Each follower has a bounded outbound queue drained by its own
-    sender thread, so one slow follower never stalls the publisher or
-    the other followers; a follower more than [repl_max_lag] records
-    behind is shed with a terminal [Repl_error] and must reconnect.
-    Empty batches are 1 Hz heartbeats carrying the primary's next
-    sequence number so followers can measure lag. Instrumented under
-    [repl.*]: followers gauge, batches_sent / records_sent /
-    followers_shed / checkpoints_sent / readonly_rejected counters. *)
+    lock. One publisher thread serves every follower: it queues batches
+    of up to 512 records straight onto the follower's connection, and
+    only while that connection's write queue is under the 1 MiB
+    high-water mark, so one slow follower never stalls the publisher or
+    the other followers. A follower at the mark is sent nothing until
+    its queue drains; its backlog stays in the journal, and costs no
+    thread. A follower whose cursor leaves the journal window (or whose
+    primary loses its journal) is shed with a terminal [Repl_error] and
+    must reconnect; at shutdown followers get [Bye] like every other
+    connection. Empty batches are 1 Hz heartbeats carrying the
+    primary's next sequence number so followers can measure lag.
+    Instrumented under [repl.*]: followers gauge, batches_sent /
+    records_sent / followers_shed / checkpoints_sent /
+    readonly_rejected counters. *)
 
 val request_shutdown : t -> unit
 (** Ask for a graceful shutdown and return immediately. Safe to call

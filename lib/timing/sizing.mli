@@ -38,4 +38,11 @@ val size_to_constraints :
     netlist found — check with {!meets_constraints}, as the paper's
     server relaxes rather than fails. *)
 
+val report_meets : Sta.report -> constraints -> bool
+(** Whether a report already computed under the constraints' port loads
+    meets them: what {!meets_constraints} checks, without analyzing the
+    netlist again. *)
+
 val meets_constraints : Icdb_netlist.Netlist.t -> constraints -> bool
+(** {!report_meets} over a fresh {!Sta.analyze} with the constraints'
+    port loads. *)

@@ -265,11 +265,11 @@ let test_request_trace =
       "synthesize"; "sizing"; "sta"; "shape"; "persist"; "cif";
       "opt.optimize"; "techmap.map"; "sizing.size"; "shape.estimate";
       "cif.generate" ];
-  (* sta.analyze runs twice, for the request's report and in the
-     constraint check: the sizing loop re-times its candidates on one
-     timing graph without it. Every span sits under the single request
-     root. *)
-  check Alcotest.int "sta.analyze twice" 2 (count "sta.analyze");
+  (* sta.analyze runs once, for the request's report, which the
+     constraint check then reads: the sizing loop re-times its
+     candidates on one timing graph without it. Every span sits under
+     the single request root. *)
+  check Alcotest.int "sta.analyze once" 1 (count "sta.analyze");
   let root = List.find (fun s -> s.Trace.sname = "request") spans in
   check Alcotest.(option int) "request is the root" None root.Trace.sparent;
   List.iter

@@ -557,6 +557,172 @@ let test_stop_is_prompt () =
     (Printf.sprintf "stopped in %.3f s, under 0.3 s" took)
     true (took < 0.3)
 
+(* ------------------------------------------------------------------ *)
+(* Backpressure: a follower that stops reading                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Rows of about 1 KiB in a table of their own, keyed by a running
+   number, so a few thousand records fill a follower's write queue and
+   each shipped record names its place in the stream. *)
+let pad_table = "repl_pad"
+
+let pad_rows sync ~from n =
+  Sync.with_server sync (fun server ->
+      let db = Server.db server in
+      if Icdb_reldb.Db.table_opt db pad_table = None then
+        ignore
+          (Icdb_reldb.Db.create_table db pad_table
+             Icdb_reldb.Value.[ ("k", Tint); ("pad", Tstr) ]);
+      for k = from to from + n - 1 do
+        Icdb_reldb.Db.insert db pad_table
+          Icdb_reldb.Value.[ Int k; Str (String.make 1000 'x') ]
+      done)
+
+let mib = 1 lsl 20
+
+(* The follower connection's unsent bytes on the primary. *)
+let follower_wq svc =
+  match
+    List.find_opt
+      (fun ci -> ci.Service.ci_state = "follower")
+      (Service.conn_table svc)
+  with
+  | Some ci -> ci.Service.ci_wq_bytes
+  | None -> Alcotest.fail "no follower connection on the primary"
+
+(* A bare subscriber that reads nothing until the test says so. It
+   keeps the default receive buffer: a tiny one makes catch-up crawl. *)
+let subscribe_raw svc ~port cursor =
+  let c = Client.connect ~port () in
+  Wire.write_frame (Client.fd c)
+    (Wire.encode_request { Wire.id = 1; body = Wire.Subscribe { cursor } });
+  wait_for ~what:"the subscription" (fun () -> Service.follower_count svc = 1);
+  c
+
+(* Commit pad rows, 100 at a time, until the follower's write queue is
+   at the 1 MiB mark. Returns the next unused key. *)
+let fill_to_mark svc sync =
+  let next = ref 0 in
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while follower_wq svc < mib do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "write queue stuck at %d bytes" (follower_wq svc);
+    pad_rows sync ~from:!next 100;
+    next := !next + 100;
+    Unix.sleepf 0.005
+  done;
+  !next
+
+(* Read pushed batches until the stream reaches [until], each with a
+   deadline so a stream that stalls fails instead of hanging. Every
+   batch must start where the last one ended; returns the keys of the
+   pad rows received, in order. *)
+let read_stream c ~from ~until =
+  let fd = Client.fd c in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  let cursor = ref from and keys = ref [] in
+  while !cursor < until do
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0.0 then
+      Alcotest.failf "stream stalled at cursor %d of %d" !cursor until;
+    match Unix.select [ fd ] [] [] left with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | [], _, _ -> ()
+    | _ -> (
+        match Wire.read_response fd with
+        | Ok { Wire.body = Wire.Journal_batch { jb_first; jb_records; _ }; _ }
+          ->
+            if jb_first <> !cursor then
+              Alcotest.failf "batch starts at %d, the stream ended at %d"
+                jb_first !cursor;
+            List.iter
+              (fun line ->
+                match
+                  Icdb_reldb.Journal.decode_line (String.trim line)
+                with
+                | Some
+                    (Icdb_reldb.Journal.Insert
+                       (tbl, Icdb_reldb.Value.Int k :: _))
+                  when tbl = pad_table ->
+                    keys := k :: !keys
+                | _ -> Alcotest.failf "record %S is not a pad row" line)
+              jb_records;
+            cursor := !cursor + List.length jb_records
+        | Ok { Wire.body = Wire.Repl_error msg; _ } ->
+            Alcotest.failf "follower dropped: %s" msg
+        | Ok _ -> ()
+        | Error e ->
+            Alcotest.failf "stream broke: %s" (Wire.decode_error_to_string e))
+  done;
+  List.rev !keys
+
+(* A follower that stops reading holds one write queue at the mark and
+   stays subscribed however far the primary runs ahead: its backlog
+   waits in the journal. Once it reads again, the queue's drain wakes
+   the publisher, and every record arrives once, in order. *)
+let test_stalled_follower () =
+  with_primary @@ fun psvc pport psync ->
+  pad_rows psync ~from:0 0;
+  let start = primary_next psync in
+  let c = subscribe_raw psvc ~port:pport start in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let next = ref (fill_to_mark psvc psync) in
+  for _ = 1 to 101 do
+    pad_rows psync ~from:!next 100;
+    next := !next + 100;
+    Unix.sleepf 0.005
+  done;
+  (* stall past a heartbeat period: a pass falls due in that time, and
+     finds nothing to send a follower at the mark *)
+  Unix.sleepf 1.2;
+  check Alcotest.int "still subscribed" 1 (Service.follower_count psvc);
+  let wq = follower_wq psvc in
+  check Alcotest.bool
+    (Printf.sprintf "write queue %d bytes, under 2 MiB" wq)
+    true (wq < 2 * mib);
+  let drains = counter "repl.wake.drain" in
+  let keys = read_stream c ~from:start ~until:(primary_next psync) in
+  check Alcotest.(list int) "every record once, in order"
+    (List.init !next Fun.id) keys;
+  check Alcotest.bool "the drained queue woke the publisher" true
+    (counter "repl.wake.drain" > drains)
+
+(* The thread count once it holds still for 50 ms: a thread an earlier
+   case ended may still be on its way out. *)
+let settled_thread_count () =
+  let rec go prev tries =
+    Unix.sleepf 0.05;
+    let n = thread_count () in
+    if n = prev || tries = 0 then n else go n (tries - 1)
+  in
+  go (thread_count ()) 20
+
+(* Serving a follower takes no thread on the primary: once a replica
+   has caught up, the process has one thread more, the replica's own. *)
+let test_follower_adds_no_thread () =
+  with_primary @@ fun _psvc pport psync ->
+  with_client ~port:pport (fun c -> generate c "counter" 3);
+  let before = settled_thread_count () in
+  let ws = fresh_dir "icdb_repl_threads" in
+  let rcfg = { Replica.default_config with port = pport } in
+  let replica = Replica.create ~config:rcfg ~workspace:ws () in
+  Fun.protect ~finally:(fun () -> Replica.stop replica) @@ fun () ->
+  Replica.run replica;
+  wait_caught_up replica psync;
+  check Alcotest.int "threads: the replica's own and no other" (before + 1)
+    (settled_thread_count ())
+
+(* A follower that goes away while its queue is at the mark is dropped
+   at once, with no later write to bring the publisher round. *)
+let test_stalled_follower_dies () =
+  with_primary @@ fun psvc pport psync ->
+  pad_rows psync ~from:0 0;
+  let c = subscribe_raw psvc ~port:pport (primary_next psync) in
+  ignore (fill_to_mark psvc psync);
+  Client.close c;
+  wait_for ~timeout:5.0 ~what:"the primary to drop the closed follower"
+    (fun () -> Service.follower_count psvc = 0)
+
 let () =
   Alcotest.run "repl"
     [ ( "replication",
@@ -573,4 +739,9 @@ let () =
             test_retry_without_later_write;
           Alcotest.test_case "dead follower's sender exits" `Quick
             test_dead_follower_sender_exits;
-          Alcotest.test_case "stop is prompt" `Quick test_stop_is_prompt ] ) ]
+          Alcotest.test_case "stop is prompt" `Quick test_stop_is_prompt;
+          Alcotest.test_case "stalled follower" `Quick test_stalled_follower;
+          Alcotest.test_case "follower adds no thread" `Quick
+            test_follower_adds_no_thread;
+          Alcotest.test_case "stalled follower dies" `Quick
+            test_stalled_follower_dies ] ) ]
