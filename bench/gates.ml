@@ -1,4 +1,4 @@
-(* Ratio gates: seven A/B checks, each the median of paired per-round
+(* Ratio gates: eight A/B checks, each the median of paired per-round
    time ratios B/A against a bar. Run: dune exec bench/main.exe -- gates
 
      batch    hot Batch frames of 25 vs hot single calls          < 1
@@ -10,6 +10,9 @@
               both equivalent                                   <= 0.1
      shape    Shape.of_netlist vs one Area_est.estimate per strip
               count, encode 8, the same staircase               <= 0.5
+     sizing   Sta.trial of every instance of counter 8 vs set_size,
+              Sta.summarize and set_size back, the same
+              summaries                                         <= 0.5
 
    Exits non-zero when a median misses its bar, a side check fails or an arm raises. *)
 
@@ -218,6 +221,36 @@ let shape_gate () =
       (same, Printf.sprintf ", %d alternatives of %d counts, identical %b"
          (List.length !shape) (List.length counts) same))
 
+(* Counter 8 (load, enable, up/down: the lattice's largest Fastest
+   point): a trial upsizing of every instance through Sta.trial, which
+   re-times only the nets the resize reaches, vs the same resizes timed
+   by whole passes on a graph that never trials. *)
+let sizing_gate () =
+  let module T = Icdb_timing in
+  let c = Option.get (Icdb_genus.Component.find "counter") in
+  let flat = Icdb_iif.Builtin.expand_exn c.implementation (c.params_of [ ("size", 8) ]) in
+  let nl = Generator.milo.synthesize flat in
+  let passes = T.Sta.build nl and kept = T.Sta.build nl in
+  let instances = List.init (T.Sta.instance_count kept) Fun.id in
+  let up g k = Float.min T.Sizing.max_size (T.Sta.size g k *. 1.3) in
+  let whole = ref [] and trials = ref [] in
+  let resize_back k =
+    let old = T.Sta.size passes k in
+    T.Sta.set_size passes k (up passes k);
+    let s = T.Sta.summarize passes in
+    T.Sta.set_size passes k old;
+    s
+  in
+  let reps f out () = time (fun () -> for _ = 1 to 20 do out := List.map f instances done) in
+  let bits l =
+    List.map (fun (s : T.Sta.summary) ->
+        (Int64.bits_of_float s.cw, List.map (fun (o, t) -> (o, Int64.bits_of_float t)) s.wd,
+         Option.map Int64.bits_of_float s.worst_sd)) l in
+  gate ~bar:"<= 0.5" ~rounds:11 (fun m -> m <= 0.5) (reps resize_back whole)
+    (reps (fun k -> T.Sta.trial kept k (up kept k) Fun.id) trials) ~side:(fun () ->
+      let same = !trials <> [] && bits !trials = bits !whole in
+      (same, Printf.sprintf ", %d trials, identical summaries %b" (List.length !trials) same))
+
 let run () =
   (* a wedged arm fails the step: SIGALRM's default action exits non-zero *)
   ignore (Unix.alarm 600);
@@ -231,7 +264,7 @@ let run () =
         ("sampler", side_gate ~what:"ticks" ~telemetry_period_s:0.05 sampler);
         ("admin", side_gate ~what:"scrapes" scraper);
         ("explain", explain_gate); ("indexed", indexed_gate); ("verify", verify_gate);
-        ("shape", shape_gate) ]
+        ("shape", shape_gate); ("sizing", sizing_gate) ]
   in
   ignore (Unix.alarm 0);
   if failed <> [] then (

@@ -695,7 +695,13 @@ let request_inner t (spec : Spec.t) key =
         Trace.with_span "sta" @@ fun () ->
         Sta.analyze ~port_loads:spec.Spec.constraints.Sizing.port_loads sized
       in
-      let shape = Trace.with_span "shape" (fun () -> Shape.of_netlist sized) in
+      (* one placement preparation serves the shape function and, for a
+         layout target, the CIF *)
+      let prepared, shape =
+        Trace.with_span "shape" @@ fun () ->
+        let p = Area_est.prepare sized in
+        (p, Shape.of_prepared p sized)
+      in
       let functions, connections =
         match comp with
         | Some c ->
@@ -769,7 +775,8 @@ let request_inner t (spec : Spec.t) key =
                ~outputs:sized.Netlist.outputs
            in
            let _, cif =
-             Cif.generate sized ~strips:alt.Shape.alt_strips ~port_specs
+             Cif.generate_prepared prepared ~strips:alt.Shape.alt_strips
+               ~port_specs
            in
            ignore
              (write_file t

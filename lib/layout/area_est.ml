@@ -47,7 +47,7 @@ type prepared = {
   shuffled : float array array;
 }
 
-let prepare ?(seed = 1) (nl : Netlist.t) =
+let prepare_untraced seed (nl : Netlist.t) =
   let widths =
     Array.of_list (List.map Strip.instance_width nl.Netlist.instances)
   in
@@ -62,6 +62,13 @@ let prepare ?(seed = 1) (nl : Netlist.t) =
           Array.map (fun idx -> widths.(idx)) order)
   in
   { arrangement = Strip.arrange nl; cells = n; shuffled }
+
+(* A span only while tracing, so that an untraced preparation allocates
+   no closure for it. *)
+let prepare ?(seed = 1) nl =
+  if Icdb_obs.Trace.enabled () then
+    Icdb_obs.Trace.with_span "area.prepare" (fun () -> prepare_untraced seed nl)
+  else prepare_untraced seed nl
 
 let arrangement p = p.arrangement
 

@@ -25,6 +25,7 @@ type prepared
     {!Strip.arrangement} and the shuffles of the X figure. *)
 
 val prepare : ?seed:int -> Icdb_netlist.Netlist.t -> prepared
+(** Under tracing, one ["area.prepare"] span per call. *)
 
 val arrangement : prepared -> Strip.arrangement
 

@@ -109,9 +109,8 @@ let to_cif (l : layout) =
 (* One-call convenience: place, assign ports, emit CIF. The estimate
    that sizes the port ring and the placement drawn share one
    arrangement. *)
-let generate ?(seed = 1) (nl : Netlist.t) ~strips ~port_specs =
+let generate_prepared prep ~strips ~port_specs =
   Icdb_obs.Trace.with_span "cif.generate" @@ fun () ->
-  let prep = Area_est.prepare ~seed nl in
   let est = Area_est.estimate_prepared prep ~strips in
   let placement = Strip.place_arranged (Area_est.arrangement prep) ~strips in
   let ports =
@@ -120,3 +119,6 @@ let generate ?(seed = 1) (nl : Netlist.t) ~strips ~port_specs =
   in
   let l = of_placement placement ~ports in
   (l, to_cif l)
+
+let generate ?(seed = 1) (nl : Netlist.t) ~strips ~port_specs =
+  generate_prepared (Area_est.prepare ~seed nl) ~strips ~port_specs

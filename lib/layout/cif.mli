@@ -22,10 +22,14 @@ val of_placement : Strip.t -> ports:Ports.placed_port list -> layout
 
 val to_cif : layout -> string
 
+val generate_prepared :
+  Area_est.prepared -> strips:int -> port_specs:Ports.spec list -> layout * string
+(** Place a prepared netlist, assign ports and emit CIF in one call. *)
+
 val generate :
   ?seed:int ->
   Icdb_netlist.Netlist.t ->
   strips:int ->
   port_specs:Ports.spec list ->
   layout * string
-(** Place, assign ports and emit CIF in one call. *)
+(** {!generate_prepared} of one {!Area_est.prepare}. *)

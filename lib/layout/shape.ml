@@ -43,12 +43,13 @@ let of_estimates (raw : Area_est.estimate list) : t =
 
 (* All strip counts from 1 to a sensible maximum, every count estimated
    from one preparation of the netlist. *)
-let of_netlist ?(seed = 1) (nl : Netlist.t) : t =
+let of_prepared prep (nl : Netlist.t) : t =
   Icdb_obs.Trace.with_span "shape.estimate" @@ fun () ->
-  let prep = Area_est.prepare ~seed nl in
   of_estimates
     (List.init (max_strips_for nl) (fun i ->
          Area_est.estimate_prepared prep ~strips:(i + 1)))
+
+let of_netlist ?(seed = 1) nl = of_prepared (Area_est.prepare ~seed nl) nl
 
 (* Keep only Pareto-optimal points (no alternative both narrower and
    shorter exists). *)

@@ -19,9 +19,13 @@ val of_estimates : Area_est.estimate list -> t
     staircase: widths strictly decrease, heights never decrease
     (conservative where raw channel estimates would dip). *)
 
+val of_prepared : Area_est.prepared -> Icdb_netlist.Netlist.t -> t
+(** [of_prepared prep nl], for [prep] a preparation of [nl]:
+    {!of_estimates} of every strip count from 1 to {!max_strips_for},
+    all estimated from [prep]. *)
+
 val of_netlist : ?seed:int -> Icdb_netlist.Netlist.t -> t
-(** {!of_estimates} of every strip count from 1 to {!max_strips_for},
-    all estimated from one {!Area_est.prepare}. *)
+(** {!of_prepared} of one {!Area_est.prepare}. *)
 
 val pareto : t -> t
 (** Drop alternatives dominated in both dimensions. *)

@@ -8,75 +8,112 @@ exception Vhdl_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Vhdl_error s)) fmt
 
-(* Net names like Q[3] or $m1 are legal IIF but not VHDL identifiers. *)
+(* Net names like Q[3] or $m1 are legal IIF but not VHDL identifiers.
+   A name that needs neither is returned as it is. *)
 let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | '[' | ']' | '$' | '.' -> '_'
-      | c -> c)
-    name
-  |> fun s ->
-  if String.length s > 0 && s.[0] = '_' then "n" ^ s else s
+  let bad c = c = '[' || c = ']' || c = '$' || c = '.' in
+  if name <> "" && name.[0] <> '_' && not (String.exists bad name) then name
+  else
+    let s = String.map (fun c -> if bad c then '_' else c) name in
+    if String.length s > 0 && s.[0] = '_' then "n" ^ s else s
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Entity declaration only (the VHDL_head query of §3.3). *)
-let entity_of (nl : Netlist.t) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "entity %s is\n  port (\n" (sanitize nl.Netlist.name));
-  let ports =
-    List.map (fun n -> (n, "in")) nl.Netlist.inputs
-    @ List.map (fun n -> (n, "out")) nl.Netlist.outputs
-  in
-  let last = List.length ports - 1 in
-  List.iteri
-    (fun i (n, dir) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %s : %s bit%s\n" (sanitize n) dir
-           (if i = last then "" else ";")))
-    ports;
-  Buffer.add_string buf "  );\n";
-  Buffer.add_string buf (Printf.sprintf "end %s;\n" (sanitize nl.Netlist.name));
-  Buffer.contents buf
+(* Everything is written into one buffer. A drive size keeps its %.2f
+   text (and its %h text in the trailer); the usual size 1 is a
+   constant. *)
+let size_text s = if s = 1.0 then "1.00" else Printf.sprintf "%.2f" s
+let size_hex s = if s = 1.0 then "0x1p+0" else Printf.sprintf "%h" s
 
-let architecture_of (nl : Netlist.t) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "architecture netlist of %s is\n" (sanitize nl.Netlist.name));
+let write_entity buf (nl : Netlist.t) =
+  let add = Buffer.add_string buf in
+  let name = sanitize nl.Netlist.name in
+  add "entity ";
+  add name;
+  add " is\n  port (\n";
+  let left = ref (List.length nl.Netlist.inputs + List.length nl.Netlist.outputs) in
+  let port dir n =
+    decr left;
+    add "    ";
+    add (sanitize n);
+    add dir;
+    add (if !left = 0 then " bit\n" else " bit;\n")
+  in
+  List.iter (port " : in") nl.Netlist.inputs;
+  List.iter (port " : out") nl.Netlist.outputs;
+  add "  );\nend ";
+  add name;
+  add ";\n"
+
+let write_architecture buf (nl : Netlist.t) =
+  let add = Buffer.add_string buf in
+  add "architecture netlist of ";
+  add (sanitize nl.Netlist.name);
+  add " is\n";
   (* component declarations, one per distinct cell *)
-  let cells = List.sort_uniq compare (List.map (fun i -> i.Netlist.cell) nl.Netlist.instances) in
   List.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "  component %s end component;\n" c))
-    cells;
+    (fun c ->
+      add "  component ";
+      add c;
+      add " end component;\n")
+    (List.sort_uniq compare (List.map (fun i -> i.Netlist.cell) nl.Netlist.instances));
   (* internal signals *)
   let io = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace io n ()) nl.Netlist.inputs;
   List.iter (fun n -> Hashtbl.replace io n ()) nl.Netlist.outputs;
-  let internal =
-    List.filter (fun n -> not (Hashtbl.mem io n)) (Netlist.nets nl)
-  in
-  if internal <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf "  signal %s : bit;\n"
-         (String.concat ", " (List.map sanitize internal)));
-  Buffer.add_string buf "begin\n";
+  let first = ref true in
+  List.iter
+    (fun n ->
+      if not (Hashtbl.mem io n) then begin
+        add (if !first then "  signal " else ", ");
+        first := false;
+        add (sanitize n)
+      end)
+    (Netlist.nets nl);
+  if not !first then add " : bit;\n";
+  add "begin\n";
   List.iter
     (fun (i : Netlist.instance) ->
-      let maps =
-        String.concat ", "
-          (List.map (fun (p, n) -> Printf.sprintf "%s => %s" p (sanitize n)) i.conns)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %s: %s port map (%s);  -- size %.2f\n"
-           i.inst_name i.cell maps i.size))
+      add "  ";
+      add i.inst_name;
+      add ": ";
+      add i.cell;
+      add " port map (";
+      List.iteri
+        (fun j (p, n) ->
+          if j > 0 then add ", ";
+          add p;
+          add " => ";
+          add (sanitize n))
+        i.conns;
+      add ");  -- size ";
+      add (size_text i.size);
+      add "\n")
     nl.Netlist.instances;
-  Buffer.add_string buf "end netlist;\n";
+  add "end netlist;\n"
+
+(* Entity declaration only (the VHDL_head query of §3.3). *)
+let entity_of nl =
+  let buf = Buffer.create 256 in
+  write_entity buf nl;
   Buffer.contents buf
 
-let to_vhdl nl = entity_of nl ^ "\n" ^ architecture_of nl
+let architecture_of nl =
+  let buf = Buffer.create 1024 in
+  write_architecture buf nl;
+  Buffer.contents buf
+
+let write_vhdl buf nl =
+  write_entity buf nl;
+  Buffer.add_char buf '\n';
+  write_architecture buf nl
+
+let to_vhdl nl =
+  let buf = Buffer.create 4096 in
+  write_vhdl buf nl;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Exact persistence (workspace .vhdl files)                           *)
@@ -89,34 +126,47 @@ let to_vhdl nl = entity_of nl ^ "\n" ^ architecture_of nl
    netlist exactly, which crash recovery reads back with [undump]. *)
 
 let trailer_field what s =
-  if String.contains s '\t' || String.contains s '\n' || String.contains s ','
-     || String.contains s '=' then
+  if String.exists (fun c -> c = '\t' || c = '\n' || c = ',' || c = '=') s then
     fail "%s %S not representable in a netlist trailer" what s;
   s
 
 let dump nl =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf (to_vhdl nl);
-  Buffer.add_string buf
-    (Printf.sprintf "--#name\t%s\n" (trailer_field "name" nl.Netlist.name));
+  let buf = Buffer.create 4096 in
+  let add = Buffer.add_string buf in
+  let field what s = add (trailer_field what s) in
+  write_vhdl buf nl;
+  add "--#name\t";
+  field "name" nl.Netlist.name;
+  add "\n";
   List.iter
-    (fun n -> Buffer.add_string buf (Printf.sprintf "--#in\t%s\n" (trailer_field "net" n)))
+    (fun n ->
+      add "--#in\t";
+      field "net" n;
+      add "\n")
     nl.Netlist.inputs;
   List.iter
-    (fun n -> Buffer.add_string buf (Printf.sprintf "--#out\t%s\n" (trailer_field "net" n)))
+    (fun n ->
+      add "--#out\t";
+      field "net" n;
+      add "\n")
     nl.Netlist.outputs;
   List.iter
     (fun (i : Netlist.instance) ->
-      Buffer.add_string buf
-        (Printf.sprintf "--#inst\t%s\t%s\t%h\t%s\n"
-           (trailer_field "instance" i.Netlist.inst_name)
-           (trailer_field "cell" i.Netlist.cell)
-           i.Netlist.size
-           (String.concat ","
-              (List.map
-                 (fun (p, n) ->
-                   trailer_field "pin" p ^ "=" ^ trailer_field "net" n)
-                 i.Netlist.conns))))
+      add "--#inst\t";
+      field "instance" i.Netlist.inst_name;
+      add "\t";
+      field "cell" i.Netlist.cell;
+      add "\t";
+      add (size_hex i.Netlist.size);
+      add "\t";
+      List.iteri
+        (fun j (p, n) ->
+          if j > 0 then add ",";
+          field "pin" p;
+          add "=";
+          field "net" n)
+        i.Netlist.conns;
+      add "\n")
     nl.Netlist.instances;
   Buffer.contents buf
 

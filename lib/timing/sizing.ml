@@ -8,9 +8,9 @@
    width bound, or a strategy (fastest / cheapest).
 
    One timing graph is built per call; each candidate resize is timed
-   on it in place ({!Sta.summarize}: the report's figures with only the
-   worst SD) and undone, and the sized netlist is read off the graph at
-   the end. *)
+   on it in place ({!Sta.trial}: the report's figures with only the
+   worst SD, re-timing only the nets the resize reaches) and undone,
+   and the sized netlist is read off the graph at the end. *)
 
 open Icdb_netlist
 
@@ -68,15 +68,6 @@ let step g i =
   let s = Sta.size g i in
   if s >= max_size then None else Some (Float.min max_size (s *. size_step))
 
-(* [f] applied to the graph with instance [i] at size [s]; the old size
-   is put back afterwards. *)
-let with_size g i s f =
-  let old = Sta.size g i in
-  Sta.set_size g i s;
-  let r = f () in
-  Sta.set_size g i old;
-  r
-
 (* Candidate instances: the TILOS move — only gates on the current
    critical path are worth upsizing; trying each of those and keeping
    the best violation-improvement per added area is cheap because the
@@ -90,8 +81,8 @@ let best_upsize g c current_violation =
         | None -> best
         | Some s ->
             let gain, area =
-              with_size g i s (fun () ->
-                  let gain = current_violation -. violation (Sta.summarize g) c in
+              Sta.trial g i s (fun r ->
+                  let gain = current_violation -. violation r c in
                   (gain, if gain <= 1e-9 then 0.0 else Sta.area g))
             in
             if gain <= 1e-9 then best
@@ -124,7 +115,7 @@ let rec fastest g iters =
           match step g i with
           | None -> best
           | Some s -> (
-              let m' = with_size g i s (fun () -> merit (Sta.summarize g)) in
+              let m' = Sta.trial g i s merit in
               match best with
               | Some (_, _, bm) when bm <= m' -> best
               | _ -> if m' < m -. 1e-6 then Some (i, s, m') else best))

@@ -35,6 +35,38 @@ type pass = {
   time : float array;  (* net -> that arrival *)
 }
 
+(* The arrivals a graph keeps current across [set_size] once a trial
+   has found it eligible (see [cone_of]). A net's register-sourced
+   arrival at a register's Q is that register's launch time. "No
+   arrival" is neg_infinity: every real arrival is finite, so a max
+   over fanins reads the same whether or not it skips those. *)
+type cone = {
+  order : int array;        (* nets, each after every net its arrival reads *)
+  rank : int array;         (* net -> its index in [order] *)
+  clock : int array;        (* net -> the CK net of the register whose Q
+                               it is, or -1 *)
+  succ : int array array;   (* net -> the nets whose arrivals read it *)
+  a : float array;          (* net -> arrival sourced at the inputs *)
+  b : float array;          (* net -> arrival sourced at the registers *)
+  dirty : bool array;       (* by rank: to re-time in this sweep *)
+  mutable lo : int;         (* every dirty rank lies in [lo, hi] *)
+  mutable hi : int;
+  log_net : int array;      (* a trial's undo log: each net it changed, *)
+  log_a : float array;      (* with the arrivals it had before *)
+  log_b : float array;
+  mutable logged : int;     (* entries in the log; -1 outside a trial *)
+}
+
+(* How a graph times what [summarize] and [critical] read. Its first
+   trial decides once between whole passes and kept arrivals; until
+   then, and with whole passes, [launch] is current ([Fresh], [fresh])
+   when it was computed for the current sizes. *)
+type mode =
+  | Stale
+  | Fresh
+  | Passes of { mutable fresh : bool }  (* trials run whole passes *)
+  | Cone of cone                        (* arrivals kept current *)
+
 (* Instances are numbered in netlist order and nets in [Netlist.nets]
    order. Sizes are the only mutable input: [set_size] refreshes the
    loads and delays a size feeds, so a resize is re-timed in place. *)
@@ -64,7 +96,7 @@ type graph = {
   endpoint_setup : float array;  (* 0 at outputs, else the setup time *)
   is_launch : bool array;    (* net -> some register's Q *)
   launch : float array;      (* Q net -> launch time *)
-  mutable launch_fresh : bool;
+  mutable mode : mode;
   pa : pass;  (* two memos: [evaluate] keeps its input-sourced and *)
   pb : pass;  (* register-sourced passes open at the same time *)
 }
@@ -221,7 +253,7 @@ let build ?(port_loads = []) (nl : Netlist.t) =
       is_input; inputs; outputs; ffs; ff_q; ff_ck; endpoints; endpoint_setup;
       is_launch;
       launch = Array.make n_net 0.0;
-      launch_fresh = false;
+      mode = Stale;
       pa = new_pass n_net;
       pb = new_pass n_net }
   in
@@ -235,10 +267,10 @@ let size g k = g.sizes.(k)
 (* A size feeds the instance's own delay and the loads of the nets it
    reads, and so the delays of the instances driving those nets. Each
    is recomputed from the sizes, never adjusted by a difference, so
-   restoring a size restores every figure bit for bit. *)
-let set_size g k s =
+   restoring a size restores every figure bit for bit. [set_size] then
+   re-times what the graph's mode keeps. *)
+let resize g k s =
   g.sizes.(k) <- s;
-  g.launch_fresh <- false;
   Array.iter
     (fun n ->
       refresh_load g n;
@@ -355,7 +387,10 @@ let launch_times g =
     done;
     incr round
   done;
-  g.launch_fresh <- true
+  match g.mode with
+  | Stale -> g.mode <- Fresh
+  | Passes p -> p.fresh <- true
+  | Fresh | Cone _ -> ()
 
 (* Worst [arrival + setup] over the registers' data pins, or 0. *)
 let worst_setup g p src =
@@ -443,7 +478,7 @@ let summary_of_report r =
    SD at all (tie-cell paths would still give the pass one), and an
    input net that an instance also drives is a source only in its own
    pass, so those designs take the pass per input. *)
-let summarize g =
+let summarize_passes g =
   let wd = wd_per_output g in
   let worst_sd =
     if Array.length g.inputs = 0 then None
@@ -456,6 +491,253 @@ let summarize g =
 let analyze ?port_loads nl =
   Icdb_obs.Trace.with_span "sta.analyze" @@ fun () ->
   evaluate (build ?port_loads nl)
+
+(* ------------------------------------------------------------------ *)
+(* Arrivals kept current                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Re-time net [n] from the nets it reads, as [settle] would: true when
+   an arrival changed. Inside a trial the overwritten arrivals are
+   logged; a sweep re-times a net at most once, so the log never holds
+   more entries than there are nets. *)
+let retime g c n =
+  let na = ref neg_infinity and nb = ref neg_infinity in
+  let d = g.driver.(n) in
+  if g.is_input.(n) then na := 0.0
+  else if c.clock.(n) >= 0 then begin
+    let ck = c.a.(c.clock.(n)) in
+    nb := (if ck > neg_infinity then ck else 0.0) +. g.delays.(d)
+  end
+  else if d >= 0 && not (is_sequential_cell g.cells.(d)) then begin
+    let fi = g.fanin.(d) in
+    for j = 0 to Array.length fi - 1 do
+      let m = fi.(j) in
+      if not (!na >= c.a.(m)) then na := c.a.(m);
+      if not (!nb >= c.b.(m)) then nb := c.b.(m)
+    done;
+    (* tie cells: constant from time 0 *)
+    let none = if g.cells.(d).Celllib.inputs = [] then 0.0 else neg_infinity in
+    na := if !na > neg_infinity then !na +. g.delays.(d) else none;
+    nb := if !nb > neg_infinity then !nb +. g.delays.(d) else none
+  end;
+  if !na <> c.a.(n) || !nb <> c.b.(n) then begin
+    if c.logged >= 0 then begin
+      c.log_net.(c.logged) <- n;
+      c.log_a.(c.logged) <- c.a.(n);
+      c.log_b.(c.logged) <- c.b.(n);
+      c.logged <- c.logged + 1
+    end;
+    c.a.(n) <- !na;
+    c.b.(n) <- !nb;
+    true
+  end
+  else false
+
+let mark c n =
+  let r = c.rank.(n) in
+  if not c.dirty.(r) then begin
+    c.dirty.(r) <- true;
+    if r < c.lo then c.lo <- r;
+    if r > c.hi then c.hi <- r
+  end
+
+(* A resize of [k] changes the delays of [k] and of the drivers of its
+   fanin nets: the nets those time are re-timed first. *)
+let mark_resize g c k =
+  if g.out_net.(k) >= 0 then mark c g.out_net.(k);
+  let fi = g.fanin.(k) in
+  for j = 0 to Array.length fi - 1 do mark c fi.(j) done
+
+(* Re-time the dirty nets in topological order. A net whose arrivals
+   changed dirties the nets that read it, which rank after it, so the
+   sweep covers at most the forward cone of what was marked. *)
+let sweep g c =
+  let r = ref c.lo in
+  while !r <= c.hi do
+    if c.dirty.(!r) then begin
+      c.dirty.(!r) <- false;
+      let n = c.order.(!r) in
+      if retime g c n then begin
+        let s = c.succ.(n) in
+        for j = 0 to Array.length s - 1 do mark c s.(j) done
+      end
+    end;
+    incr r
+  done;
+  c.lo <- max_int;
+  c.hi <- -1
+
+let undo c =
+  for i = c.logged - 1 downto 0 do
+    let n = c.log_net.(i) in
+    c.a.(n) <- c.log_a.(i);
+    c.b.(n) <- c.log_b.(i)
+  done;
+  c.logged <- -1
+
+exception Ineligible
+
+(* The cone state of [g], or None when a per-net rule cannot be shown
+   to give the passes' figures. A net's arrivals read: at a register's
+   Q, the register's CK net (a launch time is the clock's arrival plus
+   clk->Q); at a net a combinational cell times, the cell's inputs;
+   elsewhere nothing. Those are functions of what they read, so any
+   topological order gives the passes' figures, except in a graph with
+   - an input net that an instance also drives: it starts a path only
+     in its own per-input pass;
+   - a register whose Q net something else drives last;
+   - a register whose CK cone holds a register output (the type-1
+     ripple counters): the launch rounds read launch times in query
+     order;
+   - a timing loop anywhere: the passes raise only on one they reach.
+   With no register output in a CK cone, the launch rounds' arrival at
+   a clock net, sourced at the inputs and the launch times, is its
+   arrival from the inputs alone. The arrays start timed in full. *)
+let cone_of g =
+  let n_net = Array.length g.driver in
+  let comb n =
+    let d = g.driver.(n) in
+    d >= 0 && not (is_sequential_cell g.cells.(d))
+  in
+  try
+    if Array.exists (fun n -> g.driver.(n) >= 0) g.inputs then raise Ineligible;
+    let clock = Array.make n_net (-1) in
+    Array.iteri
+      (fun j k ->
+        if g.driver.(g.ff_q.(j)) <> k then raise Ineligible;
+        clock.(g.ff_q.(j)) <- g.ff_ck.(j))
+      g.ffs;
+    let reads n =
+      if clock.(n) >= 0 then [| clock.(n) |]
+      else if comb n then g.fanin.(g.driver.(n))
+      else [||]
+    in
+    (* depth first, each net placed after what it reads; 1 marks a net
+       on the stack, 2 a placed one *)
+    let state = Array.make n_net 0 in
+    let order = Array.make n_net 0 and placed = ref 0 in
+    let rec place n =
+      if state.(n) = 1 then raise Ineligible;
+      if state.(n) = 0 then begin
+        state.(n) <- 1;
+        Array.iter place (reads n);
+        state.(n) <- 2;
+        order.(!placed) <- n;
+        incr placed
+      end
+    in
+    for n = 0 to n_net - 1 do place n done;
+    let in_cone = Array.make n_net false in
+    let rec clock_cone n =
+      if not in_cone.(n) then begin
+        in_cone.(n) <- true;
+        if comb n then Array.iter clock_cone g.fanin.(g.driver.(n))
+        else if g.driver.(n) >= 0 then raise Ineligible
+      end
+    in
+    Array.iter clock_cone g.ff_ck;
+    let rank = Array.make n_net 0 in
+    Array.iteri (fun r n -> rank.(n) <- r) order;
+    let succ = Array.make n_net [] in
+    for n = n_net - 1 downto 0 do
+      Array.iter (fun m -> succ.(m) <- n :: succ.(m)) (reads n)
+    done;
+    let c =
+      { order; rank; clock;
+        succ = Array.map Array.of_list succ;
+        a = Array.make n_net neg_infinity;
+        b = Array.make n_net neg_infinity;
+        dirty = Array.make n_net false;
+        lo = max_int; hi = -1;
+        log_net = Array.make n_net 0;
+        log_a = Array.make n_net 0.0;
+        log_b = Array.make n_net 0.0;
+        logged = -1 }
+    in
+    Array.iter (fun n -> ignore (retime g c n)) order;
+    Some c
+  with Ineligible -> None
+
+(* [worst_setup] read off an arrival array. *)
+let worst_setup_in g arr =
+  let acc = ref 0.0 in
+  for e = Array.length g.outputs to Array.length g.endpoints - 1 do
+    let t = arr.(g.endpoints.(e)) in
+    if t > neg_infinity then acc := Float.max !acc (t +. g.endpoint_setup.(e))
+  done;
+  !acc
+
+(* [summarize_passes]'s figures, read off the arrays: [a] is its
+   input-sourced pass and [b] its register-sourced one. *)
+let cone_summary g c =
+  let has_ffs = g.ffs <> [||] in
+  let wd =
+    List.mapi
+      (fun j o ->
+        let a = c.a.(g.outputs.(j)) and b = c.b.(g.outputs.(j)) in
+        ( o,
+          if b > neg_infinity && has_ffs then b
+          else if a > neg_infinity then a
+          else if b > neg_infinity then b
+          else 0.0 ))
+      g.nl.Netlist.outputs
+  in
+  let worst_sd =
+    if Array.length g.inputs = 0 then None else Some (worst_setup_in g c.a)
+  in
+  let worst_clk_to_q =
+    Array.fold_left (fun acc k -> Float.max acc g.delays.(k)) 0.0 g.ffs
+  in
+  { cw =
+      Float.max (worst_setup_in g c.b)
+        (Float.max worst_clk_to_q (Option.value worst_sd ~default:0.0));
+    wd;
+    worst_sd }
+
+let summarize g =
+  match g.mode with
+  | Cone c -> cone_summary g c
+  | Stale | Fresh | Passes _ -> summarize_passes g
+
+let set_size g k s =
+  resize g k s;
+  match g.mode with
+  | Cone c ->
+      mark_resize g c k;
+      sweep g c
+  | Fresh -> g.mode <- Stale
+  | Passes p -> p.fresh <- false
+  | Stale -> ()
+
+(* The size is put back, and the arrays with it, even when [f]
+   raises. *)
+let rec trial g k s f =
+  let old = g.sizes.(k) in
+  match g.mode with
+  | Cone c -> (
+      c.logged <- 0;
+      resize g k s;
+      mark_resize g c k;
+      sweep g c;
+      match f (cone_summary g c) with
+      | r -> resize g k old; undo c; r
+      | exception e -> resize g k old; undo c; raise e)
+  | Passes _ -> (
+      set_size g k s;
+      match f (summarize_passes g) with
+      | r -> set_size g k old; r
+      | exception e -> set_size g k old; raise e)
+  | Stale | Fresh ->
+      (g.mode <-
+         match cone_of g with
+         | Some c -> Cone c
+         | None -> Passes { fresh = g.mode = Fresh });
+      trial g k s f
+
+let kept_arrivals g =
+  match g.mode with
+  | Cone c -> Some (Array.copy c.a, Array.copy c.b)
+  | Stale | Fresh | Passes _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Critical path extraction (for TILOS-style sizing)                   *)
@@ -477,14 +759,28 @@ let first_latest n time =
 (* Instances on the worst timing path, in instance order: the endpoint
    (primary output or register data pin) with the latest arrival,
    walked back through worst-arrival fanins. Paths start at the inputs
-   and at the launch times of the last [evaluate]. *)
+   and at the registers' launch times. A graph that keeps its arrivals
+   reads a net's as the later of its two: an arrival from the inputs
+   and the launch times is the max of the two passes', bit for bit, as
+   [summarize_passes] argues. *)
 let critical g =
-  if not g.launch_fresh then launch_times g;
-  let p = g.pa in
-  start p;
-  let arr n =
-    settle g p Inputs_and_launch n;
-    if p.has.(n) then p.time.(n) else neg_infinity
+  let from_pass () =
+    let p = g.pa in
+    start p;
+    fun n ->
+      settle g p Inputs_and_launch n;
+      if p.has.(n) then p.time.(n) else neg_infinity
+  in
+  let arr =
+    match g.mode with
+    | Cone c ->
+        fun n ->
+          let a = c.a.(n) and b = c.b.(n) in
+          if a >= b then a else b
+    | Fresh | Passes { fresh = true } -> from_pass ()
+    | Stale | Passes _ ->
+        launch_times g;
+        from_pass ()
   in
   let rec walk n acc guard =
     let d = g.driver.(n) in

@@ -264,11 +264,12 @@ let test_request_trace =
     [ "request"; "cache_lookup"; "resolve"; "expand"; "generator_select";
       "synthesize"; "sizing"; "sta"; "shape"; "persist"; "cif";
       "opt.optimize"; "techmap.map"; "sizing.size"; "shape.estimate";
-      "cif.generate" ];
+      "cif.generate"; "area.prepare" ];
   (* sta.analyze runs once, for the request's report, which the
      constraint check then reads: the sizing loop re-times its
-     candidates on one timing graph without it. Every span sits under
-     the single request root. *)
+     candidates on one timing graph without it. One placement
+     preparation (area.prepare, above) serves the shape function and
+     the CIF. Every span sits under the single request root. *)
   check Alcotest.int "sta.analyze once" 1 (count "sta.analyze");
   let root = List.find (fun s -> s.Trace.sname = "request") spans in
   check Alcotest.(option int) "request is the root" None root.Trace.sparent;

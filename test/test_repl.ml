@@ -519,9 +519,9 @@ let thread_count () =
          | _ -> None)
   |> Option.value ~default:0
 
-(* A follower whose connection dies leaves no thread behind on the
-   primary: its sender, idle on an empty queue, is woken and exits when
-   the publisher drops the follower. *)
+(* Followers cost the primary no thread: after three follower lives,
+   each caught up, stopped and dropped by the publisher, the primary's
+   thread count is back where it was before the first. *)
 let test_dead_follower_sender_exits () =
   with_primary @@ fun psvc pport psync ->
   with_client ~port:pport (fun c -> generate c "counter" 3);
@@ -536,7 +536,8 @@ let test_dead_follower_sender_exits () =
     wait_for ~what:"the primary to drop the follower" (fun () ->
         Service.follower_count psvc = 0)
   done;
-  wait_for ~what:"the senders to exit" (fun () -> thread_count () <= before)
+  wait_for ~what:"the thread count to return to its level before three follower lives"
+    (fun () -> thread_count () <= before)
 
 (* [stop] wakes the streaming thread through its self-pipe: a caught-up
    follower idle in its pump, which waits up to a second for the next

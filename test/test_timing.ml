@@ -464,6 +464,168 @@ let test_errors () =
   in
   raises_timing_error "duplicate instance name" (fun () -> Sta.build twice)
 
+(* ------------------------------------------------------------------ *)
+(* Cone-limited trials                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Whether a graph's first trial keeps arrival arrays (a cone-limited
+   graph) rather than re-running whole passes. A loop's trial raises
+   from its passes. *)
+let keeps_arrivals nl =
+  let g = Sta.build nl in
+  (try Sta.trial g 0 2.0 ignore with Sta.Timing_error _ -> ());
+  Sta.kept_arrivals g <> None
+
+let eligibility_rows =
+  let inst name cell conns = { Netlist.inst_name = name; cell; size = 1.0; conns } in
+  [ ("synchronous counter 5", lazy (counter ~size:5 ()), true);
+    ("synchronous counter 4, load, enable, up/down",
+     lazy (counter ~size:4 ~load:1 ~enable:1 ~ud:3 ()), true);
+    ("register 4", lazy (component "register" [ ("size", 4) ]), true);
+    ("adder 5", lazy (adder 5), true);
+    ("type-1 ripple counter 4", lazy (counter ~size:4 ~typ:1 ()), false);
+    ("an input driven by an instance",
+     lazy
+       { Netlist.name = "driven"; inputs = [ "a"; "b" ]; outputs = [ "q" ];
+         instances =
+           [ inst "U1" "INV" [ ("A", "a"); ("Y", "b") ];
+             inst "F1" "DFF" [ ("D", "b"); ("CK", "a"); ("Q", "q") ] ] },
+     false);
+    ("a combinational loop", lazy nand_loop, false);
+    ("no inputs (TIE1 into D and CK)",
+     lazy
+       { Netlist.name = "tied"; inputs = []; outputs = [ "q" ];
+         instances =
+           [ inst "T1" "TIE1" [ ("Y", "t") ];
+             inst "F1" "DFF" [ ("D", "t"); ("CK", "t"); ("Q", "q") ] ] },
+     true) ]
+
+let test_cone_eligibility () =
+  List.iter
+    (fun (label, nl, cone) ->
+      check Alcotest.bool label cone (keeps_arrivals (Lazy.force nl)))
+    eligibility_rows
+
+let hex = Printf.sprintf "%h"
+
+let summary_hex (s : Sta.summary) =
+  (hex s.Sta.cw, List.map (fun (p, t) -> (p, hex t)) s.Sta.wd,
+   Option.map hex s.Sta.worst_sd)
+
+let arrays_bits = function
+  | None -> None
+  | Some (a, b) -> Some (Array.map Int64.bits_of_float a, Array.map Int64.bits_of_float b)
+
+(* A sizing run's pattern of calls: each round trials an upsizing of
+   every instance on the critical path (all of them when it is empty)
+   and commits the best merit. After every trial and every commit the
+   summary and the critical path equal a fresh graph's at the same
+   sizes, every trial leaves the kept arrays as it found them, and
+   after every commit they equal those a fresh graph keeps. [None] when
+   all agree, else what differs. *)
+let cone_run_differs ~port_loads nl =
+  let g = Sta.build ~port_loads nl in
+  let fresh () = Sta.build ~port_loads (Sta.netlist g) in
+  let fresh_arrays () =
+    let f = fresh () in
+    Sta.trial f 0 (Sta.size f 0) ignore;
+    arrays_bits (Sta.kept_arrivals f)
+  in
+  let agrees what s =
+    let f = fresh () in
+    if summary_hex s <> summary_hex (Sta.summarize f) then Some (what ^ ": summary")
+    else if Sta.critical g <> Sta.critical f then Some (what ^ ": critical path")
+    else None
+  in
+  let n = Sta.instance_count g in
+  let merit (s : Sta.summary) =
+    s.Sta.cw +. List.fold_left (fun acc (_, t) -> Float.max acc t) 0.0 s.Sta.wd
+  in
+  let rec round r =
+    if r > 6 then None
+    else
+      let candidates =
+        match Sta.critical g with [] -> List.init n Fun.id | c -> c
+      in
+      let best = ref None and failure = ref None in
+      List.iter
+        (fun i ->
+          if !failure = None then begin
+            let s = Float.min Sizing.max_size (Sta.size g i *. 1.3) in
+            let before = arrays_bits (Sta.kept_arrivals g) in
+            let m =
+              Sta.trial g i s (fun summary ->
+                  (match agrees (Printf.sprintf "round %d, trial %d" r i) summary with
+                   | Some d -> failure := Some d
+                   | None -> ());
+                  merit summary)
+            in
+            if !failure = None && before <> None
+               && arrays_bits (Sta.kept_arrivals g) <> before
+            then
+              failure := Some (Printf.sprintf "round %d, trial %d: undo" r i);
+            match !best with
+            | Some (_, _, bm) when bm <= m -> ()
+            | _ -> best := Some (i, s, m)
+          end)
+        candidates;
+      match (!failure, !best) with
+      | Some d, _ -> Some d
+      | None, None -> None
+      | None, Some (i, s, _) -> (
+          Sta.set_size g i s;
+          match agrees (Printf.sprintf "round %d, commit %d" r i) (Sta.summarize g) with
+          | Some d -> Some d
+          | None ->
+              if Sta.kept_arrivals g <> None
+                 && arrays_bits (Sta.kept_arrivals g) <> fresh_arrays ()
+              then Some (Printf.sprintf "round %d, commit %d: arrays" r i)
+              else round (r + 1))
+  in
+  round 1
+
+(* The lattice's designs (the perfbench cold_explore structures) and
+   seeded random netlists, some under random output loads. Random
+   netlists whose passes meet a loop are skipped, since their trials
+   raise. *)
+let test_cone_differential () =
+  let lattice =
+    List.concat_map
+      (fun size ->
+        List.map
+          (fun (load, enable, ud) ->
+            component "counter"
+              [ ("size", size); ("load", load); ("enable", enable); ("up_or_down", ud) ])
+          [ (1, 1, 3); (0, 1, 3); (1, 0, 2); (0, 0, 2); (1, 1, 1); (0, 0, 1) ])
+      [ 2; 4; 6; 8 ]
+    @ List.concat_map
+        (fun (name, sizes) -> List.map (fun size -> component name [ ("size", size) ]) sizes)
+        [ ("adder", [ 1; 3; 6 ]); ("alu", [ 1; 2; 4 ]); ("comparator", [ 2; 4 ]);
+          ("multiplier", [ 2; 4 ]); ("register", [ 1; 4; 8 ]); ("mux_scl", [ 2; 6 ]) ]
+    @ [ counter ~size:5 ~typ:1 () ]
+  in
+  let st = Random.State.make [| 0xc0e |] in
+  let random = List.init 80 (fun case -> Rand_netlist.random_netlist ~max_cells:40 st case) in
+  let cone = ref 0 and runs = ref 0 in
+  List.iter
+    (fun nl ->
+      let port_loads =
+        List.filter_map
+          (fun o -> if Random.State.bool st then Some (o, Random.State.float st 50.0) else None)
+          nl.Netlist.outputs
+      in
+      match Sta.summarize (Sta.build ~port_loads nl) with
+      | exception Sta.Timing_error _ -> ()
+      | _ ->
+          incr runs;
+          if keeps_arrivals nl then incr cone;
+          check Alcotest.(option string) nl.Netlist.name None (cone_run_differs ~port_loads nl))
+    (lattice @ random);
+  (* most designs take the cone-limited trial, and some do not *)
+  check Alcotest.bool
+    (Printf.sprintf "%d of %d runs cone-limited" !cone !runs)
+    true (!cone * 2 > !runs && !cone < !runs)
+
 let () =
   Alcotest.run "timing"
     [ ("sta",
@@ -486,5 +648,8 @@ let () =
          Alcotest.test_case "timing errors" `Quick test_errors;
          Alcotest.test_case "ripple counter reports" `Quick test_ripple_reports;
          Alcotest.test_case "worst SD rows" `Quick test_worst_sd_rows;
-         Alcotest.test_case "sizing = full-report oracle" `Quick test_sizing_oracle ]);
+         Alcotest.test_case "sizing = full-report oracle" `Quick test_sizing_oracle;
+         Alcotest.test_case "cone-limited eligibility" `Quick test_cone_eligibility;
+         Alcotest.test_case "cone-limited trials = fresh graphs" `Quick
+           test_cone_differential ]);
       ("properties", props) ]

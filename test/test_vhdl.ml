@@ -44,6 +44,76 @@ let test_sanitize () =
   check Alcotest.string "dollar" "n_m1" (Vhdl.sanitize "$m1");
   check Alcotest.string "plain" "CLK" (Vhdl.sanitize "CLK")
 
+(* The writer against its oracle, the Printf-per-field writer it
+   replaced, kept in test/oracle_vhdl.ml: every catalogue component of
+   sizes 1-6 that expands, encode 8, and test_sim's random netlists,
+   each of those also with seeded drive sizes, write the same bytes
+   through every entry point. *)
+let writer_differs (nl : Netlist.t) =
+  List.find_map
+    (fun (what, f, oracle) -> if f nl = oracle nl then None else Some what)
+    [ ("entity_of", Vhdl.entity_of, Oracle_vhdl.entity_of);
+      ("architecture_of", Vhdl.architecture_of, Oracle_vhdl.architecture_of);
+      ("to_vhdl", Vhdl.to_vhdl, Oracle_vhdl.to_vhdl);
+      ("dump", Vhdl.dump, Oracle_vhdl.dump) ]
+
+let component name attrs =
+  let c = Option.get (Icdb_genus.Component.find name) in
+  Builtin.expand_exn c.Icdb_genus.Component.implementation
+    (c.Icdb_genus.Component.params_of attrs)
+
+let test_writer_oracle () =
+  let catalogue =
+    List.concat_map
+      (fun (c : Icdb_genus.Component.t) ->
+        let name = c.Icdb_genus.Component.comp_name in
+        let sizes =
+          if List.mem_assoc "size" c.Icdb_genus.Component.attributes then
+            [ 1; 2; 3; 4; 5; 6 ]
+          else [ 0 ]
+        in
+        List.filter_map
+          (fun size ->
+            let attrs = if size = 0 then [] else [ ("size", size) ] in
+            match component name attrs with
+            | exception Expander.Expand_error _ -> None
+            | f -> Some (synthesize f))
+          sizes)
+      Icdb_genus.Component.all
+    @ [ synthesize (component "encode" [ ("size", 8) ]) ]
+  in
+  let st = Random.State.make [| 0x7d1 |] in
+  let random = List.init 60 (fun case -> Rand_netlist.random_netlist st case) in
+  let resized (nl : Netlist.t) =
+    { nl with
+      Netlist.instances =
+        List.map
+          (fun (i : Netlist.instance) ->
+            { i with
+              Netlist.size =
+                (match Random.State.int st 3 with
+                 | 0 -> 1.0
+                 | 1 -> Float.min 8.0 (1.3 ** float_of_int (Random.State.int st 9))
+                 | _ -> 1.0 +. Random.State.float st 7.0) })
+          nl.Netlist.instances }
+  in
+  let designs = catalogue @ random in
+  check Alcotest.bool "at least 150 designs" true (List.length designs >= 150);
+  List.iter
+    (fun nl ->
+      check Alcotest.(option string) nl.Netlist.name None (writer_differs nl);
+      check Alcotest.(option string) (nl.Netlist.name ^ " resized") None
+        (writer_differs (resized nl)))
+    designs;
+  (* a trailer separator in a name fails both *)
+  let bad = { (List.hd random) with Netlist.name = "a,b" } in
+  List.iter
+    (fun (what, dump) ->
+      match dump bad with
+      | _ -> Alcotest.failf "%s: expected Vhdl_error" what
+      | exception Vhdl.Vhdl_error _ -> ())
+    [ ("dump", Vhdl.dump); ("oracle", Oracle_vhdl.dump) ]
+
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -200,7 +270,8 @@ let () =
     [ ("writer",
        [ Alcotest.test_case "entity shape" `Quick test_entity_shape;
          Alcotest.test_case "architecture shape" `Quick test_architecture_shape;
-         Alcotest.test_case "sanitize" `Quick test_sanitize ]);
+         Alcotest.test_case "sanitize" `Quick test_sanitize;
+         Alcotest.test_case "writer = Printf oracle" `Quick test_writer_oracle ]);
       ("parser",
        [ Alcotest.test_case "cluster" `Quick test_parse_cluster;
          Alcotest.test_case "comments" `Quick test_parse_comments_ignored;
